@@ -1,22 +1,18 @@
-// Microbenchmarks for the runtime job queues (src/runtime/job_queue.h):
-// the legacy single bounded MPMC JobQueue against the ShardedJobQueue
-// the DecodeService scaled onto. Four shapes, each run on both queues:
+// Microbenchmarks for the runtime job queue (src/runtime/job_queue.h),
+// the ShardedJobQueue the DecodeService runs on. Four shapes:
 //
-//   PushClaim     — per-op cost of the uncontended push -> claim cycle
-//                   (the floor both designs pay with one producer).
+//   PushClaim     — per-op cost of the uncontended push -> claim cycle.
 //   ClaimBatch    — a mixed-key fleet's dequeue: fill with K interleaved
-//                   tags, then drain with batching claims. The single
-//                   queue scans past strangers and erases mid-deque; the
-//                   sharded queue colocated each tag at fill time.
+//                   batchable tags, then drain with batching claims
+//                   (tag routing colocated each tag at fill time).
 //   RepostCycle   — the worker self-repost loop: push_many a same-tag
 //                   batch (home shard) and claim it back contiguously.
 //   Contended     — producers x consumers on one bounded queue, with
 //                   close-and-drain termination; measures lock/notify
 //                   contention, which sharding splits per shard.
 //
-// Names are stable perf-snapshot keys (BM_Queue* with queue:single /
-// queue:sharded variants), consumed by tools/perf_snapshot.py and the
-// perf-guard's within-run expectations.
+// Names are stable perf-snapshot keys (BM_Queue*/queue:sharded/...),
+// consumed by tools/perf_snapshot.py.
 
 #include <benchmark/benchmark.h>
 
@@ -32,40 +28,11 @@ using namespace spinal::runtime;
 namespace {
 
 constexpr int kTags = 8;
+constexpr int kNoShard = ShardedJobQueue<int>::kNoShard;
+constexpr bool kBatch = true;  // push(..., batch): claims may aggregate
 
-/// Uniform facade over both queues so every benchmark body is written
-/// once: the single queue ignores worker ids and home shards.
-struct SingleQueue {
-  JobQueue<int> q;
-  SingleQueue(std::size_t cap, int /*shards*/) : q(cap) {}
-  bool push(int v, std::int32_t tag, int /*home*/) { return q.push(v, tag); }
-  bool push_many(std::vector<int>& items, std::int32_t tag, int /*home*/) {
-    return q.push_many(items, tag);
-  }
-  bool pop_batch(int /*worker*/, std::vector<int>& out, std::size_t max_batch,
-                 std::size_t window) {
-    return q.pop_batch(out, max_batch, window);
-  }
-  void close() { q.close(); }
-};
-
-struct ShardedQueue {
-  ShardedJobQueue<int> q;
-  ShardedQueue(std::size_t cap, int shards) : q(cap, shards) {}
-  bool push(int v, std::int32_t tag, int home) { return q.push(v, tag, home); }
-  bool push_many(std::vector<int>& items, std::int32_t tag, int home) {
-    return q.push_many(items, tag, home);
-  }
-  bool pop_batch(int worker, std::vector<int>& out, std::size_t max_batch,
-                 std::size_t window) {
-    return q.pop_batch(worker, out, max_batch, window);
-  }
-  void close() { q.close(); }
-};
-
-template <class Q>
-void push_claim(benchmark::State& state, int shards) {
-  Q q(64, shards);
+void BM_QueuePushClaim(benchmark::State& state, int shards) {
+  ShardedJobQueue<int> q(64, shards);
   std::vector<int> out;
   for (auto _ : state) {
     q.push(1, /*tag=*/3, /*home=*/0);
@@ -75,15 +42,14 @@ void push_claim(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations());
 }
 
-template <class Q>
-void claim_batch(benchmark::State& state, int shards) {
+void BM_QueueClaimBatch(benchmark::State& state, int shards) {
   constexpr int kFill = 512;
-  Q q(kFill + 64, shards);
+  ShardedJobQueue<int> q(kFill + 64, shards);
   std::vector<int> out;
   for (auto _ : state) {
     // Fill round-robin over kTags interned tags — the arrival order of a
     // mixed-key fleet — then drain with batching claims from worker 0.
-    for (int i = 0; i < kFill; ++i) q.push(i, i % kTags, -1);
+    for (int i = 0; i < kFill; ++i) q.push(i, i % kTags, kNoShard, kBatch);
     int drained = 0;
     while (drained < kFill) {
       q.pop_batch(0, out, 64, 128);
@@ -94,39 +60,37 @@ void claim_batch(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations() * kFill);
 }
 
-template <class Q>
-void repost_cycle(benchmark::State& state, int shards) {
-  constexpr int kBatch = 64;
-  Q q(kBatch + 64, shards);
-  std::vector<int> items(kBatch, 7);
+void BM_QueueRepostCycle(benchmark::State& state, int shards) {
+  constexpr int kRun = 64;
+  ShardedJobQueue<int> q(kRun + 64, shards);
+  std::vector<int> items(kRun, 7);
   std::vector<int> out;
   for (auto _ : state) {
-    q.push_many(items, /*tag=*/3, /*home=*/0);
+    q.push_many(items, /*tag=*/3, /*home=*/0, kBatch);
     int drained = 0;
-    while (drained < kBatch) {
-      q.pop_batch(0, out, kBatch, 128);
+    while (drained < kRun) {
+      q.pop_batch(0, out, kRun, 128);
       drained += static_cast<int>(out.size());
     }
-    items.assign(static_cast<std::size_t>(kBatch), 7);  // push_many moves out
+    items.assign(static_cast<std::size_t>(kRun), 7);  // push_many moves out
   }
-  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetItemsProcessed(state.iterations() * kRun);
 }
 
-template <class Q>
-void contended(benchmark::State& state, int shards) {
+void BM_QueueContended(benchmark::State& state, int shards) {
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
   constexpr int kPerProducer = 4096;
   for (auto _ : state) {
     // Bounded well below the burst so producers hit the capacity path;
     // termination is close-and-drain (the service teardown shape).
-    Q q(1024, shards);
+    ShardedJobQueue<int> q(1024, shards);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&q, p] {
         for (int i = 0; i < kPerProducer; ++i)
           q.push(i, /*tag=*/p * (kTags / kProducers) + i % (kTags / kProducers),
-                 /*home=*/-1);
+                 kNoShard, kBatch);
       });
     }
     std::atomic<int> received{0};
@@ -148,32 +112,11 @@ void contended(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations() * kProducers * kPerProducer);
 }
 
-void BM_QueuePushClaim(benchmark::State& s, bool sharded, int shards) {
-  sharded ? push_claim<ShardedQueue>(s, shards)
-          : push_claim<SingleQueue>(s, shards);
-}
-void BM_QueueClaimBatch(benchmark::State& s, bool sharded, int shards) {
-  sharded ? claim_batch<ShardedQueue>(s, shards)
-          : claim_batch<SingleQueue>(s, shards);
-}
-void BM_QueueRepostCycle(benchmark::State& s, bool sharded, int shards) {
-  sharded ? repost_cycle<ShardedQueue>(s, shards)
-          : repost_cycle<SingleQueue>(s, shards);
-}
-void BM_QueueContended(benchmark::State& s, bool sharded, int shards) {
-  sharded ? contended<ShardedQueue>(s, shards)
-          : contended<SingleQueue>(s, shards);
-}
-
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:sharded/shards:4, true, 4);
-BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:single/tags:8, false, 1);
-BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:sharded/shards:4/tags:8, true, 4);
-BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:sharded/shards:4, true, 4);
-BENCHMARK_CAPTURE(BM_QueueContended, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueueContended, queue:sharded/shards:4, true, 4);
+BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:sharded/shards:4, 4);
+BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:sharded/shards:4/tags:8, 4);
+BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:sharded/shards:4, 4);
+BENCHMARK_CAPTURE(BM_QueueContended, queue:sharded/shards:4, 4);
 
 BENCHMARK_MAIN();

@@ -137,8 +137,12 @@ void mirror_telemetry(util::metrics::Registry& reg, const DecodeService& svc) {
       snap.queue.steals);
   set("spinal_queue_stolen_jobs_total", "Jobs inside stolen batches",
       snap.queue.stolen_jobs);
-  set("spinal_queue_cross_shard_submits_total",
-      "Pushes landing off the pusher's shard", snap.queue.cross_shard_submits);
+  set("spinal_queue_external_submits_total",
+      "Pushes by shardless producers (admissions, posted tasks)",
+      snap.queue.external_submits);
+  set("spinal_queue_off_home_pushes_total",
+      "Worker pushes routed off the worker's own shard",
+      snap.queue.off_home_pushes);
 
   reg.gauge("spinal_queue_depth", "Total queued jobs")
       .set(static_cast<double>(svc.queue_depth()));
@@ -169,6 +173,9 @@ void mirror_telemetry(util::metrics::Registry& reg, const DecodeService& svc) {
     reg.histogram("spinal_tag_decode_service_us", "Per-tag decode service",
                   label)
         .assign(t.decode_service_us);
+    reg.histogram("spinal_tag_claim_jobs", "Jobs per claim under this tag",
+                  label)
+        .assign(t.claim_jobs);
   }
 }
 
@@ -222,10 +229,12 @@ void print_summary(const DecodeService& service,
   stage("batch-assembly", snap.stages.batch_assembly_us);
   stage("decode-service", snap.stages.decode_service_us);
   for (const TagTelemetry& t : snap.tags)
-    std::printf("  tag %-32s %8llu jobs %8llu attempts  service p95 %8.1f us\n",
+    std::printf("  tag %-32s %8llu jobs %8llu attempts  service p95 %8.1f us"
+                "  jobs/claim mean %.2f max %.0f\n",
                 t.label.c_str(), static_cast<unsigned long long>(t.jobs),
                 static_cast<unsigned long long>(t.attempts),
-                t.decode_service_us.quantile(0.95));
+                t.decode_service_us.quantile(0.95), t.claim_jobs.mean(),
+                t.claim_jobs.max());
   std::printf("adaptive effort: %llu reduced attempts, %llu full-effort idle "
               "retries, %llu unpinned decodes, peak in-flight %d\n",
               static_cast<unsigned long long>(snap.counters.reduced_effort_attempts),
@@ -235,11 +244,12 @@ void print_summary(const DecodeService& service,
   std::printf("job queue: %zu shard%s (residual depth", snap.queue.shard_depths.size(),
               snap.queue.shard_depths.size() == 1 ? "" : "s");
   for (std::size_t d : snap.queue.shard_depths) std::printf(" %zu", d);
-  std::printf("), %llu steals / %llu jobs stolen, %llu cross-shard submits, "
-              "%d/%d workers pinned\n",
+  std::printf("), %llu steals / %llu jobs stolen, %llu external submits, "
+              "%llu off-home pushes, %d/%d workers pinned\n",
               static_cast<unsigned long long>(snap.queue.steals),
               static_cast<unsigned long long>(snap.queue.stolen_jobs),
-              static_cast<unsigned long long>(snap.queue.cross_shard_submits),
+              static_cast<unsigned long long>(snap.queue.external_submits),
+              static_cast<unsigned long long>(snap.queue.off_home_pushes),
               snap.workers_pinned, service.workers());
 
   const std::size_t failed = static_cast<std::size_t>(

@@ -41,10 +41,13 @@ struct DecodeService::SessionState {
   std::optional<sim::MessageRun> run;
   SessionReport report;
   long symbols_seen = 0;  ///< feed-telemetry watermark
-  /// Interned batch_key() tag (kNoTag: never batched). Set once at
+  /// Interned batch_key() tag (kNoTag: untagged). Set once at
   /// admission, immutable after — jobs carry it into the queue, which
-  /// also routes on it (same-tag jobs colocate on one shard).
+  /// routes on it (same-tag jobs colocate on one shard).
   std::int32_t batch_tag = ShardedJobQueue<QueueJob>::kNoTag;
+  /// The tag's batchable bit (batch_key().batchable): whether a claim
+  /// headed by this session's job may take same-tag followers.
+  bool batchable = false;
 };
 
 std::uint64_t DecodeService::now_ns() const noexcept {
@@ -73,9 +76,8 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
       // blocking-push path is only ever exercised by misuse, not by the
       // service itself. Backpressure lives at admission instead.
       //
-      // Deterministic mode drains through a single ordered shard: with
-      // one shard the sharded queue degenerates to exactly the
-      // single-queue FIFO + windowed-claim semantics, which the ordered
+      // Deterministic mode drains through a single ordered shard: one
+      // FIFO with windowed same-tag claims, which the ordered
       // bit-identity guarantee is stated against.
       queue_(static_cast<std::size_t>(max_in_flight_) + kExtTaskCap + 64,
              opt.deterministic
@@ -90,11 +92,18 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
     Worker* w = workers_.back().get();
     w->index = i;
     w->thread = std::thread([this, w] {
-      if (opt_.pin_workers && pin_current_thread(w->index))
-        workers_pinned_.fetch_add(1, std::memory_order_relaxed);
+      if (opt_.pin_workers) {
+        if (pin_current_thread(w->index)) workers_pinned_.fetch_add(1);
+        workers_started_.fetch_add(1);
+      }
       worker_loop(*w);
     });
   }
+  // Every pin attempt lands before construction returns, so
+  // telemetry().workers_pinned is final from the first snapshot on (a
+  // worker that never got a job would otherwise report late).
+  if (opt_.pin_workers)
+    while (workers_started_.load() < n) std::this_thread::yield();
 }
 
 DecodeService::~DecodeService() {
@@ -151,8 +160,9 @@ void DecodeService::worker_loop(Worker& w) {
     const QueueJob& head = batch.front();
     const double wait_us =
         static_cast<double>(claim_ns - head.enqueue_ns) / 1000.0;
+    w.telemetry.record_jobs(batch.size());
     w.telemetry.record_queue_wait(wait_us, batch.size());
-    tag_stats_.lane(head.tag).record_queue_wait(wait_us, batch.size());
+    tag_stats_.lane(head.tag).record_claim(wait_us, batch.size());
     if (w.trace) {
       // The claim span doubles as the worker's idle/occupancy signal:
       // it covers everything since the last job finished, including the
@@ -167,30 +177,17 @@ void DecodeService::worker_loop(Worker& w) {
         w.trace->instant(TraceKind::kSteal, claim_ns, batch.size(),
                          cinfo.shard);
     }
-    if (batch.size() == 1) {
-      w.telemetry.record_job();
-      QueueJob& j = batch.front();
-      if (j.session != QueueJob::kNoSession) {
-        session_step(scope, j.session, claim_ns);
-      } else {
-        j.task(scope);
-        if (w.trace)
-          w.trace->record(TraceKind::kTask, claim_ns, now_ns(), 1);
-      }
+    if (batch.size() > 1) {
+      // Only batchable session tags extend a claim past its head, and a
+      // multi-job claim is same-tag by construction: one fused step.
+      indices.clear();
+      for (const QueueJob& j : batch) indices.push_back(j.session);
+      session_step_batch(scope, indices, claim_ns);
+    } else if (head.session != QueueJob::kNoSession) {
+      session_step(scope, head.session, claim_ns);
     } else {
-      // A multi-entry claim is same-tag by construction, and session
-      // tags never collide with task tags (task hints intern under a
-      // "task/" codec prefix) — so the batch is homogeneous.
-      w.telemetry.record_jobs(batch.size());
-      if (batch.front().session != QueueJob::kNoSession) {
-        indices.clear();
-        for (QueueJob& j : batch) indices.push_back(j.session);
-        session_step_batch(scope, indices, claim_ns);
-      } else {
-        for (QueueJob& j : batch) j.task(scope);
-        if (w.trace)
-          w.trace->record(TraceKind::kTask, claim_ns, now_ns(), batch.size());
-      }
+      batch.front().task(scope);
+      if (w.trace) w.trace->record(TraceKind::kTask, claim_ns, now_ns(), 1);
     }
     if (w.trace) idle_since = now_ns();
   }
@@ -217,7 +214,7 @@ void DecodeService::push_session_job(std::size_t index, int home) {
                          : static_cast<std::uint32_t>(s->batch_tag) %
                                static_cast<std::uint32_t>(queue_.shards()));
   }
-  if (queue_.push(std::move(job), s->batch_tag, home)) return;
+  if (queue_.push(std::move(job), s->batch_tag, home, s->batchable)) return;
   session_job_refused(*s);
 }
 
@@ -287,6 +284,7 @@ std::size_t DecodeService::submit(SessionSpec spec) {
   {
     std::lock_guard lock(state_m_);
     state->batch_tag = intern_tag_locked(bkey);
+    state->batchable = bkey.batchable;
     id = sessions_.size();
     sessions_.push_back(std::move(state));
     submitted_.fetch_add(1);  // under the lock: tracks sessions_.size()
@@ -326,6 +324,7 @@ std::optional<std::size_t> DecodeService::try_submit(SessionSpec spec) {
   {
     std::lock_guard lock(state_m_);
     state->batch_tag = intern_tag_locked(bkey);
+    state->batchable = bkey.batchable;
     id = sessions_.size();
     sessions_.push_back(std::move(state));
     submitted_.fetch_add(1);
@@ -592,7 +591,7 @@ void DecodeService::session_step_batch(WorkerScope& scope,
       job.enqueue_ns = p0;
     }
     if (!queue_.push_many(repost_jobs, repost.front()->batch_tag,
-                          scope.w_->index)) {
+                          scope.w_->index, repost.front()->batchable)) {
       // session_job_refused releases each refused session's slot itself.
       for (SessionState* s : repost) session_job_refused(*s);
     } else if (tb) {
@@ -695,7 +694,8 @@ TelemetrySnapshot DecodeService::telemetry() const {
   const ShardedQueueStats qs = queue_.stats();
   snap.queue.steals = qs.steals;
   snap.queue.stolen_jobs = qs.stolen_jobs;
-  snap.queue.cross_shard_submits = qs.cross_shard_submits;
+  snap.queue.external_submits = qs.external_submits;
+  snap.queue.off_home_pushes = qs.off_home_pushes;
   snap.queue.shard_depths.resize(static_cast<std::size_t>(queue_.shards()));
   for (std::size_t s = 0; s < snap.queue.shard_depths.size(); ++s)
     snap.queue.shard_depths[s] = queue_.shard_depth(s);
@@ -706,23 +706,6 @@ TelemetrySnapshot DecodeService::telemetry() const {
 int DecodeService::peak_in_flight() const { return peak_in_flight_.load(); }
 
 void DecodeService::post(Task task) {
-  post_impl(std::move(task), ShardedJobQueue<QueueJob>::kNoTag);
-}
-
-void DecodeService::post(Task task, const sim::WorkspaceKey& aggregate_hint) {
-  std::int32_t tag = ShardedJobQueue<QueueJob>::kNoTag;
-  if (aggregate_hint.valid() && opt_.batch.max_batch > 1) {
-    std::lock_guard lock(state_m_);
-    // The "task/" codec prefix keeps hinted tasks in a tag space
-    // disjoint from session batch keys, so a batched dequeue can never
-    // mix tasks into a session batch.
-    tag = intern_tag_locked(
-        WorkspaceKey{"task/" + aggregate_hint.codec, aggregate_hint.params});
-  }
-  post_impl(std::move(task), tag);
-}
-
-void DecodeService::post_impl(Task task, std::int32_t tag) {
   // Same lock-free-reserve / waiter-gated-sleep shape as session
   // admission, against the external-task cap.
   auto try_reserve_ext = [&] {
@@ -739,14 +722,10 @@ void DecodeService::post_impl(Task task, std::int32_t tag) {
     --ext_waiters_;
   }
   QueueJob job;
-  job.tag = tag;
   job.enqueue_ns = now_ns();
   if (tracer_)
-    tracer_->thread_buffer()->instant(
-        TraceKind::kCrossShard, job.enqueue_ns, 0,
-        tag < 0 ? 0
-                : static_cast<std::uint32_t>(tag) %
-                      static_cast<std::uint32_t>(queue_.shards()));
+    tracer_->thread_buffer()->instant(TraceKind::kCrossShard, job.enqueue_ns,
+                                      0, 0);
   job.task = [this, t = std::move(task)](WorkerScope& scope) {
     try {
       t(scope);
@@ -766,7 +745,7 @@ void DecodeService::post_impl(Task task, std::int32_t tag) {
       cv_done_.notify_all();
     }
   };
-  if (queue_.push(std::move(job), tag)) return;
+  if (queue_.push(std::move(job))) return;
   // Closed queue: the task will never run — undo the pending count so
   // drain()/teardown don't wait on it, and surface the loss.
   {

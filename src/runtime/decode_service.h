@@ -5,7 +5,7 @@
 //   submit(spec) ──► [ ShardedJobQueue ] ──► worker threads
 //                      │ shard per worker,     │ pinned CodecWorkspaces,
 //                      │ key-affine routing,   │ keyed by WorkspaceKey
-//                      │ batch stealing        │ (codec tag + params)
+//                      │ stealing              │ (codec tag + params)
 //                      └─ depth ──► adaptive-effort policy
 //                 session jobs repost themselves (push_many onto the
 //                 worker's own shard) until done
@@ -23,10 +23,13 @@
 // Queue sharding: submissions route by the job's interned batch tag, so
 // same-WorkspaceKey jobs colocate on one shard and a worker's dequeue
 // finds long same-tag runs without widening its scan window; a worker
-// whose shard runs dry steals a whole batch from the deepest sibling
-// shard before sleeping. Optional core pinning (RuntimeOptions::
-// pin_workers, affinity.h) keeps each worker's shard and workspaces
-// cache-resident.
+// whose shard runs dry steals from the deepest sibling shard before
+// sleeping. Only tags whose batch key is flagged batchable (cheap
+// decodes, where per-claim overhead matters) are claimed several jobs
+// at a time; every other claim takes one job, so expensive attempts
+// spread across workers and stay visible to the effort valve. Optional
+// core pinning (RuntimeOptions::pin_workers, affinity.h) keeps each
+// worker's shard and workspaces cache-resident.
 //
 // Admission control: at most max_in_flight sessions run concurrently —
 // submit() blocks (backpressure), try_submit() refuses. The in-flight
@@ -47,7 +50,8 @@
 //
 // The service also executes generic decode-plane tasks (post()) — the
 // link-symbol SessionMux (session_mux.h) schedules its per-block decode
-// attempts through the same queue, workers and workspace pools.
+// attempts through the same queue, workers and workspace pools. Tasks
+// are untagged and always claimed one at a time.
 
 #include <atomic>
 #include <chrono>
@@ -79,13 +83,17 @@ struct RuntimeOptions {
   /// worker count.
   bool deterministic = false;
   AdaptiveEffortOptions adapt;  ///< load policy (ignored when deterministic)
-  /// Cross-session batch aggregation: a worker's dequeue claims up to
-  /// max_batch already-queued jobs sharing a batch_key() — scanning at
-  /// most `window` queue entries — and decodes them as one batched pass
-  /// (sessions' try_decode_batch). Aggregation is opportunistic at
-  /// dequeue only, so it never adds queueing latency; max_batch <= 1
-  /// disables it. Stays on in deterministic mode: each batched block is
-  /// bit-identical to its solo decode by construction.
+  /// Cross-session batch aggregation, for sessions whose batch_key() is
+  /// flagged batchable only: a worker's dequeue claims up to max_batch
+  /// already-queued jobs sharing that key — scanning at most `window`
+  /// queue entries — and decodes them as one batched pass (sessions'
+  /// try_decode_batch). Aggregation is opportunistic at dequeue (it
+  /// never waits for a batch to fill), but it is not free: the claimed
+  /// jobs run one claim's decode long on one worker, delaying all but
+  /// the first and hiding them from the queue depth the effort valve
+  /// reads — which is why only cheap-decode keys are flagged.
+  /// max_batch <= 1 disables it. Stays on in deterministic mode: each
+  /// batched block is bit-identical to its solo decode by construction.
   struct BatchOptions {
     int max_batch = 16;
     int window = 64;
@@ -157,12 +165,6 @@ class DecodeService {
   /// workers' self-reposting session jobs of queue capacity).
   void post(Task task);
 
-  /// post() with a batch-aggregation hint: tasks posted under equal
-  /// (valid) hints may be claimed by one dequeue and run back-to-back on
-  /// one worker — same workspace, hot caches — instead of each paying a
-  /// queue hop. Hinted tasks never aggregate with session jobs.
-  void post(Task task, const sim::WorkspaceKey& aggregate_hint);
-
  private:
   struct Worker {
     int index = 0;  ///< dense worker id: queue consumer id + pin slot
@@ -175,7 +177,8 @@ class DecodeService {
 
   /// One queue entry: a session step (session != kNoSession; the Task is
   /// empty) or an external task. Session steps travel as bare indices so
-  /// a batched dequeue can regroup them into one session_step_batch.
+  /// a multi-job claim (always session steps of one batchable tag) can
+  /// regroup them into one session_step_batch.
   /// Jobs carry their interned tag and enqueue timestamp so the claim
   /// can attribute queue-wait per tag without a state lookup.
   struct QueueJob {
@@ -212,13 +215,13 @@ class DecodeService {
   void push_session_job(std::size_t index,
                         int home = ShardedJobQueue<QueueJob>::kNoShard);
   void session_job_refused(SessionState& s);
-  void post_impl(Task task, std::int32_t tag);
   /// CAS-reserves one admission slot against max_in_flight_; lock-free.
   /// Returns the post-reservation in-flight count, or -1 at capacity.
   int try_reserve_slot();
-  /// Interns @p key into the dense batch-tag space the queue aggregates
-  /// and routes on (and registers its TagStats lane); kNoTag for invalid
-  /// keys. Caller holds state_m_.
+  /// Interns @p key into the dense batch-tag space the queue routes on
+  /// (and registers its TagStats lane); kNoTag for invalid keys. The key
+  /// carries its batchable flag, so the map stores that bit once per
+  /// tag. Caller holds state_m_.
   std::int32_t intern_tag_locked(const sim::WorkspaceKey& key);
   /// Monotonic ns on the trace timebase (the tracer's clock when
   /// tracing, the service's own construction-epoch clock otherwise).
@@ -244,6 +247,7 @@ class DecodeService {
   std::atomic<std::size_t> ext_pending_{0};
   std::atomic<int> admit_waiters_{0}, done_waiters_{0}, ext_waiters_{0};
   std::atomic<int> workers_pinned_{0};
+  std::atomic<int> workers_started_{0};  ///< pin attempts made (pin_workers only)
 
   mutable std::mutex state_m_;
   std::condition_variable cv_admit_;  ///< in_flight_ dropped below the cap

@@ -1,33 +1,23 @@
 #pragma once
-// Job queues for the decode runtime.
+// The decode runtime's job queue: ShardedJobQueue, one bounded deque per
+// shard (by default one shard per worker). Submissions route by hashing
+// the job's tag so same-key jobs colocate — a claim then finds same-tag
+// runs at a shard's head instead of scanning past interleaved strangers
+// — worker self-reposts land on the worker's own shard (push_many with a
+// home shard: locality, no cross-shard hop), and an idle worker steals
+// from the deepest sibling shard before sleeping. The global capacity
+// lives in one atomic counter, so producers only ever contend on the
+// shard they route to; the sleep/wake paths use a shared mutex +
+// condvars but are gated on atomic waiter counts, so in steady state
+// (busy workers, queue non-empty, capacity free) no push or pop touches
+// a global lock.
 //
-// Two implementations share the slot/tag/batch vocabulary:
-//
-//  - JobQueue: the original single bounded MPMC queue (one mutex, two
-//    condvars). Retained as the architectural baseline the sharded
-//    queue is benchmarked against (bench_micro_queue,
-//    bench_runtime_throughput's single-queue modes) and as the simplest
-//    reference semantics for the queue tests.
-//
-//  - ShardedJobQueue: what DecodeService actually runs on since the
-//    10k-session scale-out. One bounded deque per shard (by default one
-//    shard per worker), submissions routed by hashing the job's
-//    aggregation tag so same-key jobs colocate — pop_batch then finds
-//    long same-tag runs at a shard's head instead of scanning past
-//    interleaved strangers — worker self-reposts land on the worker's
-//    own shard (push_many with a home shard: locality, no cross-shard
-//    hop), and an idle worker steals a whole batch from the deepest
-//    sibling shard before sleeping. The global capacity lives in one
-//    atomic counter, so producers only ever contend on the shard they
-//    route to; the sleep/wake paths use a shared mutex + condvars but
-//    are gated on atomic waiter counts, so in steady state (busy
-//    workers, queue non-empty, capacity free) no push or pop touches a
-//    global lock.
-//
-// Entries carry an optional aggregation tag (an interned batch key):
-// pop_batch() claims the oldest entry plus any same-tag entries within
-// a bounded scan window, so a consumer can serve jobs that share decode
-// state as one batch without ever waiting for a batch to fill.
+// Entries carry an optional tag (an interned batch key) and a batch
+// flag. pop_batch() claims the oldest entry, and — only when that entry
+// is tagged and flagged batchable — any same-tag entries within a
+// bounded scan window, so a consumer can serve jobs that share decode
+// state as one batch without ever waiting for a batch to fill. Unflagged
+// and untagged entries are always claimed alone.
 
 #include <atomic>
 #include <condition_variable>
@@ -36,151 +26,25 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace spinal::runtime {
 
-template <class T>
-class JobQueue {
- public:
-  /// Tag of entries that must never be batched together.
-  static constexpr std::int32_t kNoTag = -1;
-
-  explicit JobQueue(std::size_t capacity) : cap_(capacity ? capacity : 1) {}
-
-  /// Blocks while the queue is full. Returns false when the queue was
-  /// closed (the item is dropped).
-  bool push(T item, std::int32_t tag = kNoTag) {
-    std::unique_lock lock(m_);
-    cv_space_.wait(lock, [&] { return q_.size() < cap_ || closed_; });
-    if (closed_) return false;
-    q_.push_back({std::move(item), tag});
-    cv_items_.notify_one();
-    return true;
-  }
-
-  /// Pushes every item under one lock acquisition with a single shared
-  /// tag — the continuation-repost companion to pop_batch(): a worker
-  /// that just served a batch reposts the still-running sessions as one
-  /// queue transaction instead of paying a lock + notify per job.
-  /// Blocks while there is not room for all items. Returns false when
-  /// the queue was closed (all items are dropped); never partially
-  /// pushes.
-  bool push_many(std::vector<T>& items, std::int32_t tag = kNoTag) {
-    if (items.empty()) return true;
-    std::unique_lock lock(m_);
-    cv_space_.wait(
-        lock, [&] { return q_.size() + items.size() <= cap_ || closed_; });
-    if (closed_) return false;
-    for (T& item : items) q_.push_back({std::move(item), tag});
-    if (items.size() > 1)
-      cv_items_.notify_all();
-    else
-      cv_items_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking probe: false when full or closed.
-  bool try_push(T item, std::int32_t tag = kNoTag) {
-    std::lock_guard lock(m_);
-    if (closed_ || q_.size() >= cap_) return false;
-    q_.push_back({std::move(item), tag});
-    cv_items_.notify_one();
-    return true;
-  }
-
-  /// Blocks while empty. Returns std::nullopt once the queue is closed
-  /// *and* drained (pending items are still handed out after close()).
-  std::optional<T> pop() {
-    std::unique_lock lock(m_);
-    cv_items_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return std::nullopt;
-    T item = std::move(q_.front().item);
-    q_.pop_front();
-    cv_space_.notify_one();
-    return item;
-  }
-
-  /// Batch-aggregating pop: blocks like pop() for the first item, then
-  /// — when that item carries a tag and @p max_batch > 1 — claims up to
-  /// max_batch-1 more same-tag entries from among the next @p window
-  /// queued entries, preserving their relative order. Never waits for a
-  /// batch to fill: aggregation is purely opportunistic over what is
-  /// already queued, so batching adds no queueing latency, and the scan
-  /// window bounds both the dequeue cost and how far entries can be
-  /// reordered past ones left behind. Returns false (out left empty)
-  /// once closed and drained.
-  bool pop_batch(std::vector<T>& out, std::size_t max_batch,
-                 std::size_t window) {
-    out.clear();
-    std::unique_lock lock(m_);
-    cv_items_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    const std::int32_t tag = q_.front().tag;
-    out.push_back(std::move(q_.front().item));
-    q_.pop_front();
-    if (tag != kNoTag && max_batch > 1) {
-      std::size_t scanned = 0;
-      for (auto it = q_.begin();
-           it != q_.end() && out.size() < max_batch && scanned < window;
-           ++scanned) {
-        if (it->tag == tag) {
-          out.push_back(std::move(it->item));
-          it = q_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (out.size() > 1)
-      cv_space_.notify_all();
-    else
-      cv_space_.notify_one();
-    return true;
-  }
-
-  /// Instantaneous depth (for the load-adaptive policy; approximate by
-  /// the time the caller acts on it, exact at the moment of the read).
-  std::size_t depth() const {
-    std::lock_guard lock(m_);
-    return q_.size();
-  }
-
-  void close() {
-    std::lock_guard lock(m_);
-    closed_ = true;
-    cv_items_.notify_all();
-    cv_space_.notify_all();
-  }
-
-  std::size_t capacity() const noexcept { return cap_; }
-
- private:
-  struct Slot {
-    T item;
-    std::int32_t tag;
-  };
-
-  mutable std::mutex m_;
-  std::condition_variable cv_items_, cv_space_;
-  std::deque<Slot> q_;
-  std::size_t cap_;
-  bool closed_ = false;
-};
-
 /// Counters a ShardedJobQueue accumulates over its lifetime, snapshotted
 /// into the runtime telemetry.
 struct ShardedQueueStats {
   std::uint64_t steals = 0;        ///< batches claimed off a sibling shard
   std::uint64_t stolen_jobs = 0;   ///< jobs inside those batches
-  /// Pushes that landed on a shard other than the pusher's own — every
-  /// external submission (submitters have no shard) plus any worker push
-  /// routed off its home shard. Measures the cross-core handoff rate
-  /// against the self-repost fast path.
-  std::uint64_t cross_shard_submits = 0;
+  /// Push transactions from producers that own no shard (external
+  /// submitters): routed by tag hash or round-robin.
+  std::uint64_t external_submits = 0;
+  /// Push transactions from a shard owner that landed on another shard
+  /// (a worker whose index exceeds the shard count). Against the
+  /// self-repost fast path this is the cross-core handoff rate of the
+  /// workers themselves.
+  std::uint64_t off_home_pushes = 0;
 };
 
 /// Where a ShardedJobQueue claim came from — filled in by pop_batch for
@@ -201,7 +65,7 @@ struct ShardedClaimInfo {
 template <class T>
 class ShardedJobQueue {
  public:
-  /// Tag of entries that must never be batched together.
+  /// Tag of untagged entries (round-robin routed, never batched).
   static constexpr std::int32_t kNoTag = -1;
   /// `home` value of producers that own no shard (external submitters).
   static constexpr int kNoShard = -1;
@@ -218,48 +82,45 @@ class ShardedJobQueue {
   /// spreads keys evenly while keeping every same-tag job on one shard —
   /// unless @p home names the pusher's own shard, which wins (worker
   /// continuations stay local). Untagged, homeless items round-robin.
-  bool push(T item, std::int32_t tag = kNoTag, int home = kNoShard) {
+  /// @p batch lets a claim headed by this item take same-tag followers
+  /// (ignored for untagged items).
+  bool push(T item, std::int32_t tag = kNoTag, int home = kNoShard,
+            bool batch = false) {
     if (!reserve(1, /*blocking=*/true)) return false;
-    enqueue_one(route(tag, home), std::move(item), tag, home);
+    enqueue(&item, 1, tag, home, batch);
     return true;
   }
 
   /// Non-blocking probe: false when full or closed.
-  bool try_push(T item, std::int32_t tag = kNoTag, int home = kNoShard) {
+  bool try_push(T item, std::int32_t tag = kNoTag, int home = kNoShard,
+                bool batch = false) {
     if (!reserve(1, /*blocking=*/false)) return false;
-    enqueue_one(route(tag, home), std::move(item), tag, home);
+    enqueue(&item, 1, tag, home, batch);
     return true;
   }
 
   /// Pushes every item as one shard transaction under a single shared
-  /// tag — the continuation-repost companion to pop_batch(). Blocks
-  /// while there is not global room for all items; returns false when
-  /// the queue was closed (all items dropped); never partially pushes.
+  /// tag and batch flag — the continuation-repost companion to
+  /// pop_batch(). Blocks while there is not global room for all items;
+  /// returns false when the queue was closed (all items dropped); never
+  /// partially pushes.
   bool push_many(std::vector<T>& items, std::int32_t tag = kNoTag,
-                 int home = kNoShard) {
+                 int home = kNoShard, bool batch = false) {
     if (items.empty()) return true;
     if (!reserve(items.size(), /*blocking=*/true)) return false;
-    const std::size_t dest = route(tag, home);
-    if (static_cast<int>(dest) != home)
-      cross_shard_submits_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(shard_[dest].m);
-      for (T& item : items) shard_[dest].q.push_back({std::move(item), tag});
-      shard_[dest].depth.fetch_add(items.size(), std::memory_order_relaxed);
-    }
-    notify_items();
+    enqueue(items.data(), items.size(), tag, home, batch);
     return true;
   }
 
-  /// Batch-aggregating pop for consumer @p worker: serves the worker's
-  /// own shard first; when it is empty, steals a batch from the deepest
-  /// sibling shard; when every shard is empty, sleeps until a push or
-  /// close(). Claim semantics per shard match JobQueue::pop_batch (the
-  /// oldest entry plus same-tag entries within a scan window of @p
-  /// window, batch capped at @p max_batch). Returns false (out left
-  /// empty) once closed *and* drained — pending items in any shard are
-  /// still handed out after close(). @p info, when given, reports which
-  /// shard served the claim and whether it was a steal.
+  /// Claiming pop for consumer @p worker: serves the worker's own shard
+  /// first; when it is empty, steals from the deepest sibling shard;
+  /// when every shard is empty, sleeps until a push or close(). A claim
+  /// takes a shard's oldest entry and, when that entry was pushed
+  /// batchable, the same-tag entries within a scan window of @p window
+  /// (batch capped at @p max_batch, order preserved). Returns false (out
+  /// left empty) once closed *and* drained — pending items in any shard
+  /// are still handed out after close(). @p info, when given, reports
+  /// which shard served the claim and whether it was a steal.
   bool pop_batch(int worker, std::vector<T>& out, std::size_t max_batch,
                  std::size_t window, ShardedClaimInfo* info = nullptr) {
     out.clear();
@@ -310,8 +171,8 @@ class ShardedJobQueue {
     ShardedQueueStats out;
     out.steals = steals_.load(std::memory_order_relaxed);
     out.stolen_jobs = stolen_jobs_.load(std::memory_order_relaxed);
-    out.cross_shard_submits =
-        cross_shard_submits_.load(std::memory_order_relaxed);
+    out.external_submits = external_submits_.load(std::memory_order_relaxed);
+    out.off_home_pushes = off_home_pushes_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -329,6 +190,7 @@ class ShardedJobQueue {
   struct Slot {
     T item;
     std::int32_t tag;
+    bool batch;  ///< a claim headed by this slot may take same-tag followers
   };
   /// One bounded deque + its lock, padded so neighbouring shards' locks
   /// never share a cache line. `depth` mirrors q.size() so steal-victim
@@ -365,13 +227,21 @@ class ShardedJobQueue {
     }
   }
 
-  void enqueue_one(std::size_t dest, T item, std::int32_t tag, int home) {
-    if (static_cast<int>(dest) != home)
-      cross_shard_submits_.fetch_add(1, std::memory_order_relaxed);
+  /// Moves @p n items (space already reserved) onto their routed shard
+  /// as one transaction and wakes a sleeper if there is one.
+  void enqueue(T* items, std::size_t n, std::int32_t tag, int home,
+               bool batch) {
+    const std::size_t dest = route(tag, home);
+    if (home < 0)
+      external_submits_.fetch_add(1, std::memory_order_relaxed);
+    else if (static_cast<int>(dest) != home)
+      off_home_pushes_.fetch_add(1, std::memory_order_relaxed);
+    batch = batch && tag != kNoTag;
     {
       std::lock_guard lock(shard_[dest].m);
-      shard_[dest].q.push_back({std::move(item), tag});
-      shard_[dest].depth.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t i = 0; i < n; ++i)
+        shard_[dest].q.push_back({std::move(items[i]), tag, batch});
+      shard_[dest].depth.fetch_add(n, std::memory_order_relaxed);
     }
     notify_items();
   }
@@ -379,8 +249,7 @@ class ShardedJobQueue {
   /// Wakes sleeping consumers after an enqueue. Gated on the atomic
   /// sleeper count: in steady state (no one asleep) a push pays one
   /// atomic load here, no lock and no condvar signal — the notify path
-  /// that JobQueue pays per push only runs when someone is actually
-  /// waiting.
+  /// only runs when someone is actually waiting.
   void notify_items() {
     if (sleepers_.load() > 0) {
       std::lock_guard lock(sleep_m_);
@@ -428,20 +297,21 @@ class ShardedJobQueue {
     return false;
   }
 
-  /// JobQueue::pop_batch's claim algorithm on one shard: head entry plus
-  /// same-tag entries within the scan window, order preserved. Claims
-  /// from the front, so per-tag FIFO holds across claims (and steals) as
-  /// long as a tag routes to a single shard — which tag-hashed routing
-  /// guarantees.
+  /// The claim algorithm on one shard: the head entry, plus — for a
+  /// batchable head — same-tag entries within the scan window, order
+  /// preserved. Claims from the front, so per-tag FIFO holds across
+  /// claims (and steals) as long as a tag routes to a single shard —
+  /// which tag-hashed routing guarantees.
   bool claim_from(std::size_t s, std::vector<T>& out, std::size_t max_batch,
                   std::size_t window) {
     Shard& sh = shard_[s];
     std::unique_lock lock(sh.m);
     if (sh.q.empty()) return false;
     const std::int32_t tag = sh.q.front().tag;
+    const bool batch = sh.q.front().batch;
     out.push_back(std::move(sh.q.front().item));
     sh.q.pop_front();
-    if (tag != kNoTag && max_batch > 1) {
+    if (batch && max_batch > 1) {
       std::size_t scanned = 0;
       for (auto it = sh.q.begin();
            it != sh.q.end() && out.size() < max_batch && scanned < window;
@@ -466,8 +336,8 @@ class ShardedJobQueue {
   std::atomic<std::size_t> size_{0};
   std::atomic<bool> closed_{false};
   mutable std::atomic<std::uint32_t> rr_{0};
-  std::atomic<std::uint64_t> steals_{0}, stolen_jobs_{0},
-      cross_shard_submits_{0};
+  std::atomic<std::uint64_t> steals_{0}, stolen_jobs_{0}, external_submits_{0},
+      off_home_pushes_{0};
 
   // Sleep/wake machinery, touched only when a waiter exists (the atomic
   // counts gate both notify paths) or a consumer runs dry.

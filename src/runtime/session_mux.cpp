@@ -98,9 +98,11 @@ void SessionMux::pause_point(SessionId id) {
 
 void SessionMux::post_attempt(SessionId id, int block, const SpinalDecoder* dec,
                               const CodeParams& params) {
-  // Aggregate-hinted post: attempts for blocks sharing CodeParams may be
-  // claimed together and run back-to-back on one worker (same pinned
-  // workspace, hot kernel state) instead of each paying a queue hop.
+  // One task per block attempt, claimed alone: a block decode (n=256,
+  // B=64: ~65k node expansions, hundreds of µs) dwarfs the queue hop, and
+  // the round ends only when its slowest worker does — so attempts
+  // spread across workers instead of queueing behind each other on one,
+  // and every queued attempt stays visible to the effort valve.
   service_->post(
       [this, id, block, dec, params](DecodeService::WorkerScope& scope) {
         // Decode until the symbol store stops changing under us: symbols
@@ -123,8 +125,7 @@ void SessionMux::post_attempt(SessionId id, int block, const SpinalDecoder* dec,
           abandon_block(id, block);  // keep outstanding_ consistent so
           throw;                     // wait_idle()/~SessionMux cannot hang;
         }                            // the service records the exception
-      },
-      sim::spinal_workspace_key(params));
+      });
 }
 
 const SpinalDecoder* SessionMux::on_complete(DecodeService::WorkerScope& scope,

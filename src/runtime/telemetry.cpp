@@ -95,6 +95,7 @@ void TagStatsRegistry::append_lane(std::vector<TagTelemetry>& out,
   if (t.jobs == 0 && t.attempts == 0) return;
   t.queue_wait_us = s.queue_wait_us.snapshot();
   t.decode_service_us = s.decode_service_us.snapshot();
+  t.claim_jobs = s.claim_jobs.snapshot();
   out.push_back(std::move(t));
 }
 

@@ -72,6 +72,9 @@ struct TagTelemetry {
   std::uint64_t attempts = 0;  ///< decode attempts attributed to it
   util::LatencyHistogram queue_wait_us;      ///< per-job (batch-attributed)
   util::LatencyHistogram decode_service_us;  ///< per-attempt (batch split evenly)
+  /// Jobs per claim, one sample per claim: the batch-size distribution
+  /// (all ones for a tag whose key is not batchable).
+  util::LatencyHistogram claim_jobs;
 };
 
 /// Sharded-queue view: where jobs sit and how they moved between
@@ -81,9 +84,10 @@ struct QueueTelemetry {
   std::vector<std::size_t> shard_depths;  ///< per-shard depth at snapshot time
   std::uint64_t steals = 0;               ///< batches claimed off sibling shards
   std::uint64_t stolen_jobs = 0;          ///< jobs inside stolen batches
-  std::uint64_t cross_shard_submits = 0;  ///< pushes that crossed off the
-                                          ///< pusher's own shard (all external
-                                          ///< submits + off-home worker pushes)
+  std::uint64_t external_submits = 0;     ///< pushes by shardless producers
+                                          ///< (session admissions, posted tasks)
+  std::uint64_t off_home_pushes = 0;      ///< worker pushes routed off the
+                                          ///< worker's own shard
 };
 
 /// Aggregate view across workers.
@@ -101,8 +105,7 @@ struct TelemetrySnapshot {
 /// an instruction apart, exact once quiesced).
 class WorkerTelemetry {
  public:
-  void record_job() noexcept { record_jobs(1); }
-  /// @p n jobs popped as one batch.
+  /// @p n jobs popped as one claim.
   void record_jobs(std::uint64_t n) noexcept {
     c_.jobs.fetch_add(n, std::memory_order_relaxed);
   }
@@ -162,10 +165,13 @@ struct TagStats {
   std::atomic<std::uint64_t> attempts{0};
   util::AtomicLatencyHistogram queue_wait_us;
   util::AtomicLatencyHistogram decode_service_us;
+  util::AtomicLatencyHistogram claim_jobs;
 
-  void record_queue_wait(double micros, std::uint64_t n) noexcept {
+  /// One claim of @p n jobs whose head waited @p micros.
+  void record_claim(double micros, std::uint64_t n) noexcept {
     jobs.fetch_add(n, std::memory_order_relaxed);
     queue_wait_us.add_n(micros, n);
+    claim_jobs.add(static_cast<double>(n));
   }
   void record_attempts(std::uint64_t n, double micros) noexcept {
     attempts.fetch_add(n, std::memory_order_relaxed);

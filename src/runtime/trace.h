@@ -56,7 +56,7 @@ enum class TraceKind : std::uint8_t {
   kRepost = 5,     ///< span: continuation re-enqueue (a0 = jobs)
   kComplete = 6,   ///< instant: session finished (a0 = session id, a1 = success)
   kSteal = 7,      ///< instant: batch stolen (a0 = jobs, a1 = victim shard)
-  kCrossShard = 8, ///< instant: push landed off the pusher's home shard (a1 = shard)
+  kCrossShard = 8, ///< instant: external task posted (a shardless, untagged push)
   kTask = 9,       ///< span: external posted task
 };
 

@@ -43,6 +43,17 @@ class CodecWorkspace {
 struct WorkspaceKey {
   std::string codec;
   std::string params;
+  /// Batch keys only: whether a claim of this key's decode jobs may take
+  /// more than its head job and decode them as one fused batch. Set from
+  /// the session's own predicate on its per-attempt search size (fused
+  /// batching pays only while per-claim overhead is a visible share of
+  /// the decode; above that, a multi-job claim just serializes siblings
+  /// onto one worker and hides them from the effort valve's queue-depth
+  /// signal). A function of codec + params, so equal keys always agree.
+  /// Spinal sessions set it via spinal_batch_pays (sim/spinal_workspace.h):
+  /// at most kSpinalBatchCut node expansions per attempt, a cut measured
+  /// by bench_runtime_batch_cut. Other codecs leave it false.
+  bool batchable = false;
 
   bool valid() const noexcept { return !codec.empty(); }
   auto operator<=>(const WorkspaceKey&) const = default;
@@ -123,12 +134,14 @@ class RatelessSession {
       *j.candidate = j.session->try_decode_with(ws, j.effort);
   }
 
-  /// The key under which the runtime aggregates this session's decode
-  /// jobs into batched attempts (try_decode_batch). Must be at least as
-  /// fine as workspace_key() — sessions with equal batch keys must be
-  /// safely batchable together, which can require distinguishing codecs
-  /// that deliberately share workspace layouts. Invalid (default) key:
-  /// this session's jobs are never batched.
+  /// The key under which the runtime tags this session's decode jobs:
+  /// queue routing, per-tag telemetry and — when the key is `batchable`
+  /// — aggregation into fused attempts (try_decode_batch). Must be at
+  /// least as fine as workspace_key() — sessions with equal batch keys
+  /// must be safely batchable together, which can require
+  /// distinguishing codecs that deliberately share workspace layouts.
+  /// Invalid (default) key: this session's jobs are untagged and never
+  /// batched.
   virtual WorkspaceKey batch_key() const { return {}; }
 
   /// The key under which the runtime pins this session's workspace; an

@@ -7,6 +7,7 @@
 // codec "spinal" with every CodeParams field serialized into the params
 // string — equal keys guarantee interchangeable workspace layouts.
 
+#include <cstdint>
 #include <string>
 
 #include "sim/session.h"
@@ -57,14 +58,45 @@ inline WorkspaceKey spinal_workspace_key(const CodeParams& p) {
   return WorkspaceKey{"spinal", std::move(s)};
 }
 
-/// Batch-aggregation key of a spinal session: the workspace key refined
-/// by channel flavor ("spinal.awgn" / "spinal.bsc"). AWGN and BSC
-/// sessions deliberately share spinal_workspace_key so a worker pins one
-/// scratch for both, but their BlockJob types differ — batches must not
-/// mix them.
+/// Child-node expansions of one bubble-decoder attempt: B·2^(k·d)
+/// candidates per level over ⌈n/k⌉ levels — the per-attempt search size
+/// that the fused-batching predicate below is stated on.
+inline std::int64_t spinal_search_size(const CodeParams& p) {
+  return static_cast<std::int64_t>(p.B) * (std::int64_t{1} << (p.k * p.d)) *
+         ((p.n + p.k - 1) / p.k);
+}
+
+/// Largest per-attempt search size at which fused cross-session batching
+/// still pays. Below it the per-claim runtime overhead (queue hop, clock
+/// reads, workspace lookup, slot accounting) is a visible share of a
+/// decode and one claim serving many jobs wins. Above it there is no
+/// dependable win, while a multi-job claim still serializes its jobs
+/// onto one worker as siblings idle and hides them from the effort
+/// valve's queue-depth signal — costs that lock-step link rounds pay in
+/// full. Chosen from the bench_runtime_batch_cut sweep
+/// (bench/batch_cut_sweep.csv, closed-loop fleets at 1 and 2 workers):
+/// batched claims beat solo ones in every paired repetition up to 512
+/// expansions (medians 1.14-1.57x); from 1k to 65k the medians scatter
+/// around break-even (0.92-1.11x) and all but one row's range straddles
+/// 1. Reference sizes: the small-B BSC fleet (n 4-8, B=2) 32-64; the
+/// example decode-server mix (n 96-192, B 64-256) >= 24.6k; link-layer
+/// blocks (n=256, B=64) 65.5k.
+inline constexpr std::int64_t kSpinalBatchCut = 512;
+
+/// Whether fused batching pays for a spinal code (see kSpinalBatchCut).
+inline bool spinal_batch_pays(const CodeParams& p) {
+  return spinal_search_size(p) <= kSpinalBatchCut;
+}
+
+/// Batch key of a spinal session: the workspace key refined by channel
+/// flavor ("spinal.awgn" / "spinal.bsc") and flagged batchable by
+/// spinal_batch_pays. AWGN and BSC sessions deliberately share
+/// spinal_workspace_key so a worker pins one scratch for both, but their
+/// BlockJob types differ — batches must not mix them.
 inline WorkspaceKey spinal_batch_key(const CodeParams& p, const char* flavor) {
   WorkspaceKey key = spinal_workspace_key(p);
   key.codec = flavor;
+  key.batchable = spinal_batch_pays(p);
   return key;
 }
 

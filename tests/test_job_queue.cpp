@@ -1,16 +1,18 @@
-// Job-queue tests (src/runtime/job_queue.h): the legacy single-queue
-// JobQueue reference semantics (FIFO, tagged batch aggregation, close
-// drain) and the ShardedJobQueue that DecodeService runs on — tag-affine
-// routing, home-shard self-reposts, batch stealing from the deepest
-// sibling, per-tag FIFO across steals, the closed-queue drain of
-// non-empty shards (the PR 8 job-loss regression re-stated under
-// sharding), and a seeded randomized producer/consumer/steal stress.
-// This suite runs under the ThreadSanitizer CI lane.
+// Job-queue tests (src/runtime/job_queue.h): the ShardedJobQueue that
+// DecodeService runs on — claim semantics (same-tag aggregation only for
+// entries pushed batchable, max_batch/window bounds, close drain; on one
+// shard, the ordered FIFO deterministic mode is stated against),
+// tag-affine routing, home-shard self-reposts and the push counters,
+// stealing from the deepest sibling, per-tag FIFO across steals, the
+// closed-queue drain of non-empty shards (no job lost at close), and a
+// seeded randomized producer/consumer/steal stress. This suite runs
+// under the ThreadSanitizer CI lane.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,96 +25,66 @@
 namespace spinal::runtime {
 namespace {
 
-// ---------------------------------------- legacy single-queue JobQueue
+using IntQueue = ShardedJobQueue<int>;
+constexpr std::int32_t kNoTag = IntQueue::kNoTag;
+constexpr int kNoShard = IntQueue::kNoShard;
+/// push(..., batch) argument: the entry may head a multi-job claim.
+constexpr bool kBatch = true;
 
-TEST(JobQueue, FifoTryPushAndClose) {
-  JobQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: the backpressure probe refuses
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.push(3));
-  q.close();
-  EXPECT_FALSE(q.push(4));      // closed
-  EXPECT_EQ(q.pop(), 2);        // drains pending items after close
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(JobQueue, PopBatchAggregatesSameTagOnly) {
-  JobQueue<int> q(16);
-  EXPECT_TRUE(q.try_push(1, 7));
-  EXPECT_TRUE(q.try_push(2, 9));
-  EXPECT_TRUE(q.try_push(3, 7));
-  EXPECT_TRUE(q.try_push(4, 7));
+TEST(ShardedJobQueue, SingleShardClaimSemantics) {
+  // With one shard the queue is a single FIFO with windowed same-tag
+  // claims — the deterministic mode's ordered drain is stated against
+  // this.
+  IntQueue q(16, 1);
+  EXPECT_TRUE(q.try_push(1, 7, kNoShard, kBatch));
+  EXPECT_TRUE(q.try_push(2, 9, kNoShard, kBatch));
+  EXPECT_TRUE(q.try_push(3, 7, kNoShard, kBatch));
+  EXPECT_TRUE(q.try_push(4, 7, kNoShard, kBatch));
   std::vector<int> batch;
   // Claims the head plus the same-tag entries behind it; the other tag
   // keeps its place at the new head.
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{1, 3, 4}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{2}));
-
-  // Untagged entries never aggregate, even with untagged neighbours.
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_TRUE(q.try_push(6));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{5}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{6}));
-}
-
-TEST(JobQueue, PopBatchHonorsMaxBatchAndWindow) {
-  JobQueue<int> q(16);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(10 + i, 3));
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 3, 16));  // max_batch bounds the claim
-  EXPECT_EQ(batch, (std::vector<int>{10, 11, 12}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 1));   // window bounds the scan
-  EXPECT_EQ(batch, (std::vector<int>{13, 14}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{15}));
-  EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(JobQueue, PopBatchDrainsAfterClose) {
-  JobQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1, 2));
-  EXPECT_TRUE(q.try_push(2, 2));
-  q.close();
-  EXPECT_FALSE(q.try_push(3, 2));
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 4, 8));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(q.pop_batch(batch, 4, 8));
-  EXPECT_TRUE(batch.empty());
-}
-
-// ----------------------------------------------------- ShardedJobQueue
-
-TEST(ShardedJobQueue, SingleShardMatchesJobQueueSemantics) {
-  // With one shard the sharded queue must degenerate to exactly the
-  // single-queue claim semantics — the deterministic mode's ordered
-  // drain is stated against this.
-  ShardedJobQueue<int> q(16, 1);
-  EXPECT_TRUE(q.try_push(1, 7));
-  EXPECT_TRUE(q.try_push(2, 9));
-  EXPECT_TRUE(q.try_push(3, 7));
-  EXPECT_TRUE(q.try_push(4, 7));
-  std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
   EXPECT_EQ(batch, (std::vector<int>{1, 3, 4}));
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
   EXPECT_EQ(batch, (std::vector<int>{2}));
   EXPECT_EQ(q.stats().steals, 0u);  // one shard: nothing to steal from
+
+  // Untagged entries never aggregate, even pushed batchable next to
+  // untagged neighbours.
+  EXPECT_TRUE(q.try_push(5, kNoTag, kNoShard, kBatch));
+  EXPECT_TRUE(q.try_push(6, kNoTag, kNoShard, kBatch));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+  EXPECT_EQ(batch, (std::vector<int>{5}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+  EXPECT_EQ(batch, (std::vector<int>{6}));
+
+  // Tagged but not batchable (the default): every claim is one job,
+  // however many same-tag entries queue behind it.
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.try_push(20 + i, 7));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+    EXPECT_EQ(batch, (std::vector<int>{20 + i}));
+  }
+
+  // max_batch and the scan window bound a batchable claim.
+  for (int i = 0; i < 6; ++i)
+    EXPECT_TRUE(q.try_push(10 + i, 3, kNoShard, kBatch));
+  EXPECT_TRUE(q.pop_batch(0, batch, 3, 16));  // max_batch bounds the claim
+  EXPECT_EQ(batch, (std::vector<int>{10, 11, 12}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 1));   // window bounds the scan
+  EXPECT_EQ(batch, (std::vector<int>{13, 14}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 1, 16));  // max_batch 1: solo claims
+  EXPECT_EQ(batch, (std::vector<int>{15}));
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(ShardedJobQueue, TagRoutingColocatesSameTag) {
-  ShardedJobQueue<int> q(64, 4);
+  IntQueue q(64, 4);
   // Tags are dense interned ids; tag t routes to shard t % 4.
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1));
-  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.try_push(200 + i, /*tag=*/5));
+  for (int i = 0; i < 3; ++i)
+    EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1, kNoShard, kBatch));
+  for (int i = 0; i < 2; ++i)
+    EXPECT_TRUE(q.try_push(200 + i, /*tag=*/5, kNoShard, kBatch));
   EXPECT_TRUE(q.try_push(300, /*tag=*/2));
   EXPECT_EQ(q.shard_depth(1), 5u);  // tags 1 and 5 share shard 1
   EXPECT_EQ(q.shard_depth(2), 1u);
@@ -129,25 +101,39 @@ TEST(ShardedJobQueue, TagRoutingColocatesSameTag) {
 }
 
 TEST(ShardedJobQueue, HomeShardWinsOverTagRouting) {
-  ShardedJobQueue<int> q(64, 4);
+  IntQueue q(64, 4);
   // A worker's self-repost (home >= 0) stays on its shard even when the
-  // tag hashes elsewhere — and is not counted as a cross-shard submit.
+  // tag hashes elsewhere — and counts as neither an external submit nor
+  // an off-home push.
   EXPECT_TRUE(q.try_push(1, /*tag=*/3, /*home=*/2));
   EXPECT_EQ(q.shard_depth(2), 1u);
   EXPECT_EQ(q.shard_depth(3), 0u);
-  EXPECT_EQ(q.stats().cross_shard_submits, 0u);
+  EXPECT_EQ(q.stats().external_submits, 0u);
+  EXPECT_EQ(q.stats().off_home_pushes, 0u);
 
-  // External submitters own no shard: every push of theirs crosses.
+  // External submitters own no shard: each of their push transactions
+  // counts once, tagged or not.
   EXPECT_TRUE(q.try_push(2, /*tag=*/3));
   EXPECT_EQ(q.shard_depth(3), 1u);
-  EXPECT_EQ(q.stats().cross_shard_submits, 1u);
+  EXPECT_TRUE(q.try_push(3));
+  std::vector<int> many = {4, 5};
+  EXPECT_TRUE(q.push_many(many, /*tag=*/3));
+  EXPECT_EQ(q.stats().external_submits, 3u);
+  EXPECT_EQ(q.stats().off_home_pushes, 0u);
+
+  // A consumer index beyond the shard count owns no shard of its own:
+  // its pushes wrap onto another consumer's shard and count off-home.
+  EXPECT_TRUE(q.try_push(6, /*tag=*/3, /*home=*/6));
+  EXPECT_EQ(q.shard_depth(2), 2u);
+  EXPECT_EQ(q.stats().off_home_pushes, 1u);
+  EXPECT_EQ(q.stats().external_submits, 3u);
 }
 
 TEST(ShardedJobQueue, PushManyLandsContiguousOnOneShard) {
-  ShardedJobQueue<int> q(64, 4);
-  EXPECT_TRUE(q.try_push(7, /*tag=*/1));
+  IntQueue q(64, 4);
+  EXPECT_TRUE(q.try_push(7, /*tag=*/1, kNoShard, kBatch));
   std::vector<int> items = {10, 11, 12, 13};
-  EXPECT_TRUE(q.push_many(items, /*tag=*/1, /*home=*/1));
+  EXPECT_TRUE(q.push_many(items, /*tag=*/1, /*home=*/1, kBatch));
   EXPECT_EQ(q.shard_depth(1), 5u);
   std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(1, batch, 8, 16));
@@ -155,9 +141,11 @@ TEST(ShardedJobQueue, PushManyLandsContiguousOnOneShard) {
 }
 
 TEST(ShardedJobQueue, StealsBatchFromDeepestSibling) {
-  ShardedJobQueue<int> q(64, 4);
-  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1));
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(200 + i, /*tag=*/2));
+  IntQueue q(64, 4);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1, kNoShard, kBatch));
+  for (int i = 0; i < 5; ++i)
+    EXPECT_TRUE(q.try_push(200 + i, /*tag=*/2, kNoShard, kBatch));
   // Worker 0's own shard is empty; shard 2 is deepest, so the whole
   // head batch there is stolen in one claim.
   std::vector<int> batch;
@@ -173,26 +161,31 @@ TEST(ShardedJobQueue, StealsBatchFromDeepestSibling) {
 }
 
 TEST(ShardedJobQueue, ClosedQueueDrainsEveryNonEmptyShard) {
-  // The PR 8 no-silent-job-loss guarantee under sharding: close() with
-  // items spread across several shards must still hand every item out
-  // before pop_batch returns false.
-  ShardedJobQueue<int> q(64, 4);
-  for (int tag = 0; tag < 4; ++tag)
-    for (int i = 0; i < 3; ++i)
-      EXPECT_TRUE(q.try_push(tag * 10 + i, tag));
-  q.close();
-  EXPECT_FALSE(q.try_push(99, 0));
+  // The no-silent-job-loss guarantee under sharding: close() with
+  // items spread across several shards (or queued on the single one)
+  // must still hand every item out before pop_batch returns false —
+  // and a claim after the drain leaves its output empty.
+  for (int shards : {4, 1}) {
+    IntQueue q(64, shards);
+    for (int tag = 0; tag < 4; ++tag)
+      for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(q.try_push(tag * 10 + i, tag, kNoShard, kBatch));
+    q.close();
+    EXPECT_FALSE(q.try_push(99, 0));
 
-  std::vector<int> got;
-  std::vector<int> batch;
-  while (q.pop_batch(0, batch, 4, 16)) got.insert(got.end(), batch.begin(), batch.end());
-  EXPECT_EQ(got.size(), 12u);
-  std::sort(got.begin(), got.end());
-  std::vector<int> want;
-  for (int tag = 0; tag < 4; ++tag)
-    for (int i = 0; i < 3; ++i) want.push_back(tag * 10 + i);
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(q.depth(), 0u);
+    std::vector<int> got;
+    std::vector<int> batch;
+    while (q.pop_batch(0, batch, 4, 16))
+      got.insert(got.end(), batch.begin(), batch.end());
+    EXPECT_TRUE(batch.empty()) << "shards=" << shards;
+    EXPECT_EQ(got.size(), 12u) << "shards=" << shards;
+    std::sort(got.begin(), got.end());
+    std::vector<int> want;
+    for (int tag = 0; tag < 4; ++tag)
+      for (int i = 0; i < 3; ++i) want.push_back(tag * 10 + i);
+    EXPECT_EQ(got, want) << "shards=" << shards;
+    EXPECT_EQ(q.depth(), 0u) << "shards=" << shards;
+  }
 }
 
 TEST(ShardedJobQueue, FifoPerTagHoldsAcrossSteals) {
@@ -205,7 +198,7 @@ TEST(ShardedJobQueue, FifoPerTagHoldsAcrossSteals) {
   util::Xoshiro256 prng(0x5EEDFACE);
   for (int i = 0; i < 120; ++i) {
     const int tag = static_cast<int>(prng.next_u64() % 6);
-    EXPECT_TRUE(q.try_push({tag, next_seq[tag]++}, tag));
+    EXPECT_TRUE(q.try_push({tag, next_seq[tag]++}, tag, kNoShard, kBatch));
   }
   q.close();
   std::map<int, int> seen_seq;
@@ -241,7 +234,7 @@ TEST(ShardedJobQueue, RandomizedSubmitStealStress) {
         // seq is the per-producer submission index, shared by both of
         // its tags — still strictly increasing within either.
         const int tag = p + kProducers * static_cast<int>(prng.next_u64() % 2);
-        EXPECT_TRUE(q.push({tag, i}, tag));
+        EXPECT_TRUE(q.push({tag, i}, tag, kNoShard, kBatch));
       }
     });
   }
@@ -289,7 +282,7 @@ TEST(ShardedJobQueue, RandomizedSubmitStealStress) {
 }
 
 TEST(ShardedJobQueue, CapacityIsGlobalAcrossShards) {
-  ShardedJobQueue<int> q(3, 4);
+  IntQueue q(3, 4);
   EXPECT_TRUE(q.try_push(1, 0));
   EXPECT_TRUE(q.try_push(2, 1));
   EXPECT_TRUE(q.try_push(3, 2));
@@ -300,7 +293,7 @@ TEST(ShardedJobQueue, CapacityIsGlobalAcrossShards) {
 }
 
 TEST(ShardedJobQueue, BlockedPusherWakesOnClaim) {
-  ShardedJobQueue<int> q(2, 2);
+  IntQueue q(2, 2);
   EXPECT_TRUE(q.try_push(1, 0));
   EXPECT_TRUE(q.try_push(2, 1));
   std::atomic<bool> pushed{false};

@@ -7,6 +7,7 @@
 // counter), and the link-symbol SessionMux. These suites (plus
 // test_experiment) also run under the ThreadSanitizer CI lane.
 
+#include <functional>
 #include <future>
 #include <sstream>
 #include <stdexcept>
@@ -150,7 +151,8 @@ TEST(Runtime, DeterministicBitIdenticalToSequential) {
 // ----------------------------------------- cross-session batched decode
 
 /// A same-key fleet (every session shares CodeParams, hence one batch
-/// tag), so dequeue aggregation actually forms multi-session batches.
+/// tag). Its search (B=64, n=64: 16k node expansions per attempt) is
+/// above the batching cut, so its claims stay single-job.
 SessionSpec same_key_spec(int i) {
   const CodeParams p = awgn_params();
   util::Xoshiro256 prng(0xBA7C0000u + static_cast<std::uint64_t>(i));
@@ -163,49 +165,82 @@ SessionSpec same_key_spec(int i) {
   return spec;
 }
 
+/// Small-B BSC links (B=2, c=1, n in {4, 8}: 32-64 node expansions per
+/// attempt), cheap enough that their batch keys are batchable — the
+/// fleets that keep the fused path (session_step_batch,
+/// try_decode_batch) exercised. @p keys distinct CodeParams cycle per
+/// session (1: a same-key fleet).
+SessionSpec small_b_spec(int i, int keys) {
+  util::Xoshiro256 prng(0x5B0B0000u + static_cast<std::uint64_t>(i));
+  CodeParams p;
+  p.n = 8 - 4 * (i % keys % 2);
+  p.c = 1;
+  p.B = 2;
+  p.max_passes = 32 + i % keys / 2;
+  SessionSpec spec;
+  spec.make_session = [p] { return std::make_unique<sim::BscSession>(p); };
+  spec.channel.kind = sim::ChannelKind::kBsc;
+  spec.channel.crossover = 0.02;
+  spec.channel.seed = 0x5B0B1000u + static_cast<std::uint64_t>(i);
+  spec.message = prng.random_bits(p.n);
+  return spec;
+}
+
+using SpecMaker = std::function<SessionSpec(int)>;
+
+/// The same-key inputs of the batching tests: the large-search fleet
+/// (solo claims) and a batchable small-B one (fused claims).
+std::vector<std::pair<const char*, SpecMaker>> same_key_fleets() {
+  return {{"B=64 awgn", same_key_spec},
+          {"B=2 bsc", [](int i) { return small_b_spec(i, 1); }}};
+}
+
 TEST(Runtime, BatchedDeterministicBitIdenticalToSequential) {
   constexpr int kSessions = 32;
-  std::vector<SessionReport> reference;
-  for (int i = 0; i < kSessions; ++i)
-    reference.push_back(run_sequential(same_key_spec(i)));
+  for (const auto& [fleet, make] : same_key_fleets()) {
+    std::vector<SessionReport> reference;
+    for (int i = 0; i < kSessions; ++i)
+      reference.push_back(run_sequential(make(i)));
 
-  // workers × {batching off, small batches + tiny window, full batches}:
-  // ordered drain and every per-run counter must match the sequential
-  // loop bit-for-bit in all of them.
-  const std::vector<std::tuple<int, int, int>> grid = {
-      {1, 1, 64}, {1, 4, 8}, {1, 16, 64}, {2, 5, 3}, {3, 16, 64}};
-  for (const auto& [workers, max_batch, window] : grid) {
-    RuntimeOptions opt;
-    opt.workers = workers;
-    opt.deterministic = true;
-    opt.batch.max_batch = max_batch;
-    opt.batch.window = window;
-    DecodeService service(opt);
-    for (int i = 0; i < kSessions; ++i) service.submit(same_key_spec(i));
-    const std::vector<SessionReport> got = service.drain();
+    // workers × {batching off, small batches + tiny window, full batches}:
+    // ordered drain and every per-run counter must match the sequential
+    // loop bit-for-bit in all of them.
+    const std::vector<std::tuple<int, int, int>> grid = {
+        {1, 1, 64}, {1, 4, 8}, {1, 16, 64}, {2, 5, 3}, {3, 16, 64}};
+    for (const auto& [workers, max_batch, window] : grid) {
+      RuntimeOptions opt;
+      opt.workers = workers;
+      opt.deterministic = true;
+      opt.batch.max_batch = max_batch;
+      opt.batch.window = window;
+      DecodeService service(opt);
+      for (int i = 0; i < kSessions; ++i) service.submit(make(i));
+      const std::vector<SessionReport> got = service.drain();
 
-    ASSERT_EQ(got.size(), reference.size());
-    std::uint64_t attempts = 0;
-    for (int i = 0; i < kSessions; ++i) {
-      const sim::RunResult& a = reference[static_cast<std::size_t>(i)].run;
-      const sim::RunResult& b = got[static_cast<std::size_t>(i)].run;
-      const auto label = [&] {
-        return ::testing::Message() << "workers=" << workers << " max_batch="
-                                    << max_batch << " window=" << window
-                                    << " session=" << i;
-      };
-      EXPECT_EQ(a.success, b.success) << label();
-      EXPECT_EQ(a.symbols, b.symbols) << label();
-      EXPECT_EQ(a.chunks, b.chunks) << label();
-      EXPECT_EQ(a.attempts, b.attempts) << label();
-      EXPECT_GT(got[static_cast<std::size_t>(i)].decode_micros, 0.0) << label();
-      attempts += static_cast<std::uint64_t>(b.attempts);
+      ASSERT_EQ(got.size(), reference.size());
+      std::uint64_t attempts = 0;
+      for (int i = 0; i < kSessions; ++i) {
+        const sim::RunResult& a = reference[static_cast<std::size_t>(i)].run;
+        const sim::RunResult& b = got[static_cast<std::size_t>(i)].run;
+        const auto label = [&] {
+          return ::testing::Message() << fleet << " workers=" << workers
+                                      << " max_batch=" << max_batch
+                                      << " window=" << window
+                                      << " session=" << i;
+        };
+        EXPECT_EQ(a.success, b.success) << label();
+        EXPECT_EQ(a.symbols, b.symbols) << label();
+        EXPECT_EQ(a.chunks, b.chunks) << label();
+        EXPECT_EQ(a.attempts, b.attempts) << label();
+        EXPECT_GT(got[static_cast<std::size_t>(i)].decode_micros, 0.0) << label();
+        attempts += static_cast<std::uint64_t>(b.attempts);
+      }
+      // Batched attempts keep the per-job telemetry contract: one latency
+      // sample and one attempt count per session job, not per batch.
+      const TelemetrySnapshot snap = service.telemetry();
+      EXPECT_EQ(snap.counters.decode_attempts, attempts);
+      EXPECT_EQ(snap.decode_latency_us.count(), attempts);
     }
-    // Batched attempts keep the per-job telemetry contract: one latency
-    // sample and one attempt count per session job, not per batch.
-    const TelemetrySnapshot snap = service.telemetry();
-    EXPECT_EQ(snap.counters.decode_attempts, attempts);
-    EXPECT_EQ(snap.decode_latency_us.count(), attempts);
   }
 }
 
@@ -215,49 +250,152 @@ TEST(Runtime, MixedKeyFleetBatchesStayDeterministic) {
   // still match the sequential loop exactly — batch tags are per-params
   // AND per-channel-flavor (AWGN vs BSC share a workspace layout but
   // must not share batches).
+  // The small-B input mixes four batchable keys (two n, two give-up
+  // bounds) so multi-job claims have same-tag strangers to skip.
   constexpr int kSessions = 24;
-  std::vector<SessionReport> reference;
-  for (int i = 0; i < kSessions; ++i)
-    reference.push_back(run_sequential(make_spec(i)));
+  const std::vector<std::pair<const char*, SpecMaker>> fleets = {
+      {"mixed", make_spec},
+      {"small-B x4 keys", [](int i) { return small_b_spec(i, 4); }}};
+  for (const auto& [fleet, make] : fleets) {
+    std::vector<SessionReport> reference;
+    for (int i = 0; i < kSessions; ++i)
+      reference.push_back(run_sequential(make(i)));
 
-  RuntimeOptions opt;
-  opt.workers = 2;
-  opt.deterministic = true;
-  opt.batch.max_batch = 8;
-  DecodeService service(opt);
-  for (int i = 0; i < kSessions; ++i) service.submit(make_spec(i));
-  const std::vector<SessionReport> got = service.drain();
-  ASSERT_EQ(got.size(), reference.size());
-  for (int i = 0; i < kSessions; ++i) {
-    const sim::RunResult& a = reference[static_cast<std::size_t>(i)].run;
-    const sim::RunResult& b = got[static_cast<std::size_t>(i)].run;
-    EXPECT_EQ(a.success, b.success) << i;
-    EXPECT_EQ(a.symbols, b.symbols) << i;
-    EXPECT_EQ(a.chunks, b.chunks) << i;
-    EXPECT_EQ(a.attempts, b.attempts) << i;
+    RuntimeOptions opt;
+    opt.workers = 2;
+    opt.deterministic = true;
+    opt.batch.max_batch = 8;
+    DecodeService service(opt);
+    for (int i = 0; i < kSessions; ++i) service.submit(make(i));
+    const std::vector<SessionReport> got = service.drain();
+    ASSERT_EQ(got.size(), reference.size());
+    for (int i = 0; i < kSessions; ++i) {
+      const sim::RunResult& a = reference[static_cast<std::size_t>(i)].run;
+      const sim::RunResult& b = got[static_cast<std::size_t>(i)].run;
+      EXPECT_EQ(a.success, b.success) << fleet << " " << i;
+      EXPECT_EQ(a.symbols, b.symbols) << fleet << " " << i;
+      EXPECT_EQ(a.chunks, b.chunks) << fleet << " " << i;
+      EXPECT_EQ(a.attempts, b.attempts) << fleet << " " << i;
+    }
   }
 }
 
 TEST(Runtime, AdaptiveModeBatchedFleetStillDecodes) {
   // Batching composes with the load-adaptive policy: a same-key flood
   // on few workers must still decode every session.
-  RuntimeOptions opt;
-  opt.workers = 2;
-  opt.adapt.min_effort = 8;
-  opt.adapt.idle_depth = 0;
-  opt.adapt.depth_per_halving = 4;
-  opt.batch.max_batch = 8;
-  DecodeService service(opt);
-  constexpr int kSessions = 48;
-  for (int i = 0; i < kSessions; ++i) {
-    SessionSpec spec = same_key_spec(i);
-    spec.channel.snr_db = 18.0;
-    service.submit(std::move(spec));
+  for (const auto& [fleet, make] : same_key_fleets()) {
+    RuntimeOptions opt;
+    opt.workers = 2;
+    opt.adapt.min_effort = 8;
+    opt.adapt.idle_depth = 0;
+    opt.adapt.depth_per_halving = 4;
+    opt.batch.max_batch = 8;
+    DecodeService service(opt);
+    constexpr int kSessions = 48;
+    for (int i = 0; i < kSessions; ++i) {
+      SessionSpec spec = make(i);
+      spec.channel.snr_db = 18.0;
+      service.submit(std::move(spec));
+    }
+    const std::vector<SessionReport> got = service.drain();
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kSessions));
+    for (int i = 0; i < kSessions; ++i)
+      EXPECT_TRUE(got[static_cast<std::size_t>(i)].run.success)
+          << fleet << " " << i;
   }
-  const std::vector<SessionReport> got = service.drain();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kSessions));
-  for (int i = 0; i < kSessions; ++i)
-    EXPECT_TRUE(got[static_cast<std::size_t>(i)].run.success) << i;
+}
+
+/// Runs @p kSessions specs through one deterministic worker held behind
+/// a gate task until every session is queued — the claim sequence is
+/// then a pure function of the inputs — and returns the telemetry.
+TelemetrySnapshot gated_one_worker_run(const SpecMaker& make, int sessions) {
+  RuntimeOptions opt = det_opts(1);
+  opt.max_in_flight = sessions;
+  DecodeService service(opt);
+  std::promise<void> open;
+  std::shared_future<void> gate = open.get_future().share();
+  service.post([gate](DecodeService::WorkerScope&) { gate.wait(); });
+  for (int i = 0; i < sessions; ++i) service.submit(make(i));
+  open.set_value();
+  for (const SessionReport& r : service.drain()) EXPECT_TRUE(r.run.success);
+  return service.telemetry();
+}
+
+TEST(Runtime, OnlyBatchableKeysFormMultiJobClaims) {
+  constexpr int kSessions = 16;
+  // B=2 BSC: a cheap search, so claims take the queued same-key run.
+  // Claims that reached a decode (batch-assembly records) number fewer
+  // than the session jobs they served.
+  const TelemetrySnapshot small =
+      gated_one_worker_run([](int i) { return small_b_spec(i, 1); }, kSessions);
+  EXPECT_LT(small.stages.batch_assembly_us.count(), small.counters.jobs);
+  ASSERT_EQ(small.tags.size(), 2u);  // the session tag + untagged gate task
+  EXPECT_GT(small.tags[0].claim_jobs.max(), 1.0);
+  EXPECT_EQ(small.tags[0].claim_jobs.count() + small.tags[1].claim_jobs.count(),
+            small.stages.batch_assembly_us.count() + 1);
+
+  // B=64 AWGN (n=256: the link-layer block geometry, 65k expansions per
+  // attempt): every claim is one job, even with 16 same-key jobs queued.
+  const TelemetrySnapshot large = gated_one_worker_run(
+      [](int i) {
+        SessionSpec spec = same_key_spec(i);
+        CodeParams p = awgn_params();
+        p.n = 256;
+        spec.make_session = [p] { return std::make_unique<sim::SpinalSession>(p); };
+        util::Xoshiro256 prng(0x1A26E000u + static_cast<std::uint64_t>(i));
+        spec.message = prng.random_bits(p.n);
+        spec.channel.snr_db = 18.0;
+        return spec;
+      },
+      kSessions);
+  // Every job but the gate task is a session step that reached a decode.
+  EXPECT_EQ(large.stages.batch_assembly_us.count() + 1, large.counters.jobs);
+  for (const TagTelemetry& t : large.tags) {
+    EXPECT_EQ(t.claim_jobs.max(), 1.0) << t.label;
+    EXPECT_EQ(t.claim_jobs.count(), t.jobs) << t.label;
+  }
+}
+
+TEST(Runtime, BatchPredicateCutsAtSearchSize) {
+  CodeParams p;
+  p.k = 4;
+  p.d = 1;
+  p.B = 2;
+  // B·2^(k·d)·⌈n/k⌉ with B=2, k=4: 32 expansions per started level.
+  static_assert(sim::kSpinalBatchCut % 32 == 0);
+  p.n = static_cast<int>(sim::kSpinalBatchCut / 32 * 4);
+  EXPECT_EQ(sim::spinal_search_size(p), sim::kSpinalBatchCut);
+  EXPECT_TRUE(sim::spinal_batch_pays(p));
+  EXPECT_TRUE(sim::SpinalSession(p).batch_key().batchable);
+  p.n += 1;  // one more (partial) level: just past the cut
+  EXPECT_EQ(sim::spinal_search_size(p), sim::kSpinalBatchCut + 32);
+  EXPECT_FALSE(sim::spinal_batch_pays(p));
+  EXPECT_FALSE(sim::SpinalSession(p).batch_key().batchable);
+
+  // Depth and beam width scale the search like the decoder does.
+  CodeParams deep = p;
+  deep.n = 8;
+  deep.d = 2;
+  EXPECT_EQ(sim::spinal_search_size(deep), 2 * 256 * 2);
+
+  // Reference geometries: the small-B BSC fleet batches; the link-layer
+  // block (n=256, B=64) and the test fleets above do not. BSC and AWGN
+  // sessions of one geometry agree.
+  CodeParams bsc;
+  bsc.n = 8;
+  bsc.c = 1;
+  bsc.B = 2;
+  EXPECT_TRUE(sim::BscSession(bsc).batch_key().batchable);
+  EXPECT_TRUE(sim::SpinalSession(bsc).batch_key().batchable);
+  CodeParams link;
+  link.n = 256;
+  link.B = 64;
+  EXPECT_EQ(sim::spinal_search_size(link), 65536);
+  EXPECT_FALSE(sim::spinal_batch_pays(link));
+  EXPECT_FALSE(sim::spinal_batch_pays(awgn_params()));
+  EXPECT_FALSE(sim::spinal_batch_pays(narrow_params()));
+  // The flag never enters the pinning key.
+  EXPECT_FALSE(sim::SpinalSession(bsc).workspace_key().batchable);
 }
 
 // --------------------------------------------- error-path regressions
@@ -767,9 +905,11 @@ TEST(Runtime, ShardedNonDeterministicWithAdaptOffMatchesSequential) {
   const TelemetrySnapshot snap = service.telemetry();
   EXPECT_EQ(snap.queue.shard_depths.size(), 5u);
   for (const std::size_t d : snap.queue.shard_depths) EXPECT_EQ(d, 0u);
-  // Orphan shards (5 shards, 3 workers) are only reachable by stealing,
-  // and external submits land off-home by definition.
-  EXPECT_GT(snap.queue.cross_shard_submits, 0u);
+  // Orphan shards (5 shards, 3 workers) are only reachable by stealing.
+  // Each admission is one external submit; every worker owns a shard,
+  // so no continuation is pushed off its worker's home.
+  EXPECT_EQ(snap.queue.external_submits, static_cast<std::uint64_t>(kSessions));
+  EXPECT_EQ(snap.queue.off_home_pushes, 0u);
 }
 
 TEST(Runtime, ShardedClosedQueueFailsSessionsInsteadOfLosingThem) {
