@@ -148,7 +148,6 @@ void DecodeService::worker_loop(Worker& w) {
   const std::size_t window =
       opt_.batch.window > 0 ? static_cast<std::size_t>(opt_.batch.window) : 0;
   std::vector<QueueJob> batch;
-  std::vector<std::size_t> indices;
   ShardedClaimInfo cinfo;
   std::uint64_t idle_since = w.trace ? now_ns() : 0;
   while (queue_.pop_batch(w.index, batch, max_batch, window, &cinfo)) {
@@ -177,45 +176,35 @@ void DecodeService::worker_loop(Worker& w) {
         w.trace->instant(TraceKind::kSteal, claim_ns, batch.size(),
                          cinfo.shard);
     }
-    if (batch.size() > 1) {
-      // Only batchable session tags extend a claim past its head, and a
-      // multi-job claim is same-tag by construction: one fused step.
-      indices.clear();
-      for (const QueueJob& j : batch) indices.push_back(j.session);
-      session_step_batch(scope, indices, claim_ns);
-    } else if (head.session != QueueJob::kNoSession) {
-      session_step(scope, head.session, claim_ns);
-    } else {
+    if (head.session == QueueJob::kNoSession) {  // tasks are claimed alone
       batch.front().task(scope);
       if (w.trace) w.trace->record(TraceKind::kTask, claim_ns, now_ns(), 1);
+    } else {
+      // One job, or a same-tag run of a batchable tag: one step either way.
+      step_sessions(scope, batch, claim_ns);
     }
     if (w.trace) idle_since = now_ns();
   }
 }
 
-void DecodeService::push_session_job(std::size_t index, int home) {
-  SessionState* s;
-  {
-    std::lock_guard lock(state_m_);
-    s = sessions_[index].get();  // the vector may reallocate under submit()
-  }
+void DecodeService::push_session_job(std::size_t index, SessionState& s) {
   QueueJob job;
   job.session = index;
-  job.tag = s->batch_tag;
+  job.tag = s.batch_tag;
   job.enqueue_ns = now_ns();
-  if (tracer_ && home == ShardedJobQueue<QueueJob>::kNoShard) {
-    // Only external admission pushes come through homeless (worker
-    // continuations always repost to their own shard), so this instant
-    // marks session submission; the shard arg mirrors the queue's
-    // tag-hash routing.
+  if (tracer_) {
+    // The shard arg mirrors the queue's tag-hash routing.
     tracer_->thread_buffer()->instant(
         TraceKind::kSubmit, job.enqueue_ns, index,
-        s->batch_tag < 0 ? 0
-                         : static_cast<std::uint32_t>(s->batch_tag) %
-                               static_cast<std::uint32_t>(queue_.shards()));
+        s.batch_tag < 0 ? 0
+                        : static_cast<std::uint32_t>(s.batch_tag) %
+                              static_cast<std::uint32_t>(queue_.shards()));
   }
-  if (queue_.push(std::move(job), s->batch_tag, home, s->batchable)) return;
-  session_job_refused(*s);
+  if (queue_.push(std::move(job), s.batch_tag,
+                  ShardedJobQueue<QueueJob>::kNoShard, s.batchable))
+    return;
+  session_job_refused(s);
+  release_session_slots(1);
 }
 
 /// The queue refused a session's job: it was closed with the session
@@ -234,7 +223,6 @@ void DecodeService::session_job_refused(SessionState& s) {
   s.report.message_bits = s.session->message_bits();
   s.run.reset();
   s.session.reset();
-  release_session_slot();
 }
 
 std::int32_t DecodeService::intern_tag_locked(const sim::WorkspaceKey& key) {
@@ -280,16 +268,17 @@ std::size_t DecodeService::submit(SessionSpec spec) {
     --admit_waiters_;
   }
   store_max(peak_in_flight_, reserved);
+  SessionState& s = *state;  // stable: sessions_ owns it from here on
   std::size_t id;
   {
     std::lock_guard lock(state_m_);
-    state->batch_tag = intern_tag_locked(bkey);
-    state->batchable = bkey.batchable;
+    s.batch_tag = intern_tag_locked(bkey);
+    s.batchable = bkey.batchable;
     id = sessions_.size();
     sessions_.push_back(std::move(state));
     submitted_.fetch_add(1);  // under the lock: tracks sessions_.size()
   }
-  push_session_job(id);
+  push_session_job(id, s);
   return id;
 }
 
@@ -320,199 +309,113 @@ std::optional<std::size_t> DecodeService::try_submit(SessionSpec spec) {
   // the mark is a bound on reservations, exact over admissions.)
   store_max(peak_in_flight_, reserved);
   const sim::WorkspaceKey bkey = state->session->batch_key();
+  SessionState& s = *state;
   std::size_t id;
   {
     std::lock_guard lock(state_m_);
-    state->batch_tag = intern_tag_locked(bkey);
-    state->batchable = bkey.batchable;
+    s.batch_tag = intern_tag_locked(bkey);
+    s.batchable = bkey.batchable;
     id = sessions_.size();
     sessions_.push_back(std::move(state));
     submitted_.fetch_add(1);
   }
-  push_session_job(id);
+  push_session_job(id, s);
   return id;
 }
 
-void DecodeService::session_step(WorkerScope& scope, std::size_t index,
-                                 std::uint64_t claim_ns) {
-  SessionState* s;
+void DecodeService::step_sessions(WorkerScope& scope,
+                                  std::vector<QueueJob>& claim,
+                                  std::uint64_t claim_ns) {
+  Worker& w = *scope.w_;
+  TraceBuffer* const tb = w.trace;
+  std::vector<SessionState*>& live = w.live;
+  live.clear();
   {
-    std::lock_guard lock(state_m_);
-    s = sessions_[index].get();  // the vector may reallocate under submit()
+    std::lock_guard lock(state_m_);  // sessions_ may reallocate under submit()
+    for (const QueueJob& job : claim) live.push_back(sessions_[job.session].get());
   }
-  TraceBuffer* const tb = scope.w_->trace;
-  try {
-    if (!s->run->feed_to_attempt()) {  // budget exhausted -> failed run
-      // The instant must land before finish_session: releasing the slot
-      // can wake drain(), after which the caller may export the trace.
-      if (tb)
-        tb->instant(TraceKind::kComplete, now_ns(), index,
-                    s->run->result().success ? 1 : 0);
-      finish_session(scope, *s);
-      return;
-    }
-    const long symbols = s->run->result().symbols;
-    scope.telemetry().record_feed(symbols - s->symbols_seen);
-    s->symbols_seen = symbols;
-
-    const sim::EffortProfile profile = s->session->effort_profile();
-    int effort = 0;
-    if (!opt_.deterministic) effort = scope.pick_effort(profile);
-    const bool reduced = effort > 0 && effort < profile.full;
-
-    // Resolve the worker-pinned workspace (nullptr: session has none —
-    // the attempt allocates internally, which telemetry counts).
-    sim::CodecWorkspace* ws = scope.workspace(*s->session);
-
-    // The clock read that starts the decode also closes the
-    // batch-assembly stage (claim -> dispatch: feed, effort pick,
-    // workspace resolve) — the decomposition costs no extra read here.
-    const std::uint64_t d0 = now_ns();
-    scope.telemetry().record_batch_assembly(
-        static_cast<double>(d0 - claim_ns) / 1000.0);
-    if (tb)
-      tb->record(TraceKind::kFeed, claim_ns, d0, 1,
-                 static_cast<std::uint64_t>(symbols));
-    std::optional<util::BitVec> candidate =
-        s->session->try_decode_with(ws, effort);
-    const std::uint64_t d1 = now_ns();
-    double us = static_cast<double>(d1 - d0) / 1000.0;
-    scope.telemetry().record_attempt(us, reduced, false, ws == nullptr);
-    scope.telemetry().record_decode_service(us);
-    tag_stats_.lane(s->batch_tag).record_attempts(1, us);
-    if (tb)
-      tb->record(TraceKind::kDecode, d0, d1, 1,
-                 static_cast<std::uint64_t>(effort));
-    s->report.decode_micros += us;
-    if (reduced) ++s->report.reduced_effort_attempts;
-    s->run->record_attempt(candidate);
-
-    // A shrunk attempt that failed gets one full-effort retry on the
-    // same symbols when the queue has drained: compute is free when
-    // idle, channel symbols never are.
-    if (!s->run->finished() && reduced && opt_.adapt.retry_full_when_idle &&
-        scope.idle()) {
-      const std::uint64_t r0 = now_ns();
-      candidate = s->session->try_decode_with(ws, 0);
-      const std::uint64_t r1 = now_ns();
-      us = static_cast<double>(r1 - r0) / 1000.0;
-      scope.telemetry().record_attempt(us, false, true, ws == nullptr);
-      scope.telemetry().record_decode_service(us);
-      tag_stats_.lane(s->batch_tag).record_attempts(1, us);
-      if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
-      s->report.decode_micros += us;
-      ++s->report.full_effort_retries;
-      s->run->record_attempt(candidate);
-    }
-
-    if (s->run->finished()) {
-      // Instant before finish_session — see the feed-exhausted path.
-      if (tb)
-        tb->instant(TraceKind::kComplete, now_ns(), index,
-                    s->run->result().success ? 1 : 0);
-      finish_session(scope, *s);
-      return;
-    }
-  } catch (...) {
-    if (tb) tb->instant(TraceKind::kComplete, now_ns(), index, 0);
-    fail_session(scope, *s, std::current_exception());
-    return;
-  }
-  // Continuations repost onto the stepping worker's own shard: the
-  // session's state is hot in this core's cache, and a self-repost pays
-  // no cross-shard handoff.
-  if (tb) {
-    const std::uint64_t p0 = now_ns();
-    push_session_job(index, scope.w_->index);
-    tb->record(TraceKind::kRepost, p0, now_ns(), 1);
-  } else {
-    push_session_job(index, scope.w_->index);
-  }
-}
-
-void DecodeService::session_step_batch(WorkerScope& scope,
-                                       const std::vector<std::size_t>& indices,
-                                       std::uint64_t claim_ns) {
-  TraceBuffer* const tb = scope.w_->trace;
-  std::vector<SessionState*> states;
-  states.reserve(indices.size());
-  {
-    std::lock_guard lock(state_m_);
-    for (const std::size_t index : indices)
-      states.push_back(sessions_[index].get());
-  }
+  // Sessions that end during the step release their admission slots in
+  // one call at its end, after every completion instant has landed: a
+  // released slot can wake drain(), after which the caller may export
+  // the trace. Sessions still running after a phase are compacted to the
+  // front of live and claim (kept index-aligned; the claim is one tag, so
+  // only the session index moves), which leaves claim as the repost list.
+  std::size_t released = 0;
+  std::size_t kept = 0;
+  const auto keep = [&](std::size_t i) {
+    live[kept] = live[i];
+    claim[kept].session = claim[i].session;
+    ++kept;
+  };
+  const auto truncate = [&] {
+    live.resize(kept);
+    claim.resize(kept);
+    kept = 0;
+  };
 
   // Phase 1 — stream each session to its attempt point individually
-  // (feeds are per-session work; only the decode attempt batches). The
-  // accounting batches too: one feed-telemetry record and one deferred
-  // slot release cover the whole claim.
-  std::vector<SessionState*> live;
-  std::vector<std::size_t> live_idx;
-  live.reserve(states.size());
-  live_idx.reserve(states.size());
-  std::size_t released = 0;
+  // (feeds are per-session work; only the decode attempt is shared), with
+  // one feed-telemetry record for the whole claim.
   long fed = 0;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    SessionState* s = states[i];
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    SessionState& s = *live[i];
     try {
-      if (!s->run->feed_to_attempt()) {  // budget exhausted -> failed run
-        finish_session(scope, *s, /*release_slot=*/false);
-        if (tb)
-          tb->instant(TraceKind::kComplete, now_ns(), indices[i],
-                      s->report.run.success ? 1 : 0);
+      if (!s.run->feed_to_attempt()) {  // budget exhausted -> failed run
+        finish_session(scope, s, claim[i].session);
         ++released;
         continue;
       }
-      const long symbols = s->run->result().symbols;
-      fed += symbols - s->symbols_seen;
-      s->symbols_seen = symbols;
-      live.push_back(s);
-      live_idx.push_back(indices[i]);
+      const long symbols = s.run->result().symbols;
+      fed += symbols - s.symbols_seen;
+      s.symbols_seen = symbols;
+      keep(i);
     } catch (...) {
-      fail_session(scope, *s, std::current_exception(), /*release_slot=*/false);
-      if (tb) tb->instant(TraceKind::kComplete, now_ns(), indices[i], 0);
+      finish_session(scope, s, claim[i].session, std::current_exception());
       ++released;
     }
   }
+  truncate();
   if (fed > 0) scope.telemetry().record_feed(fed);
   if (live.empty()) {
     release_session_slots(released);
     return;
   }
 
-  // Phase 2 — one fused decode attempt over every live session. Equal
+  // Phase 2 — one decode attempt over every live session (for a single
+  // session, the codecs' try_decode_batch is its try_decode_with). Equal
   // batch tags mean equal specs where it matters (profile, workspace
-  // key), so the batch shares one effort pick, one workspace resolve
-  // and one latency clock pair — exactly the per-job overhead the
-  // batching exists to amortize.
-  SessionState* lead = live.front();
-  const sim::EffortProfile profile = lead->session->effort_profile();
+  // key), so the claim shares one effort pick, one workspace resolve and
+  // one latency clock pair.
+  SessionState& lead = *live.front();
+  const sim::EffortProfile profile = lead.session->effort_profile();
   int effort = 0;
   if (!opt_.deterministic) effort = scope.pick_effort(profile);
   const bool reduced = effort > 0 && effort < profile.full;
-  sim::CodecWorkspace* ws = scope.workspace(*lead->session);
+  sim::CodecWorkspace* ws = scope.workspace(*lead.session);
 
-  std::vector<std::optional<util::BitVec>> candidates(live.size());
-  std::vector<sim::BatchDecodeJob> jobs(live.size());
+  std::vector<std::optional<util::BitVec>>& candidates = w.candidates;
+  candidates.clear();
+  candidates.resize(live.size());
+  w.jobs.clear();
   for (std::size_t i = 0; i < live.size(); ++i)
-    jobs[i] = {live[i]->session.get(), effort, &candidates[i]};
-  // One clock read ends batch-assembly and starts the fused decode.
+    w.jobs.push_back({live[i]->session.get(), effort, &candidates[i]});
+  // One clock read ends batch-assembly (claim -> dispatch: feed, effort
+  // pick, workspace resolve) and starts the decode.
   const std::uint64_t d0 = now_ns();
   scope.telemetry().record_batch_assembly(
       static_cast<double>(d0 - claim_ns) / 1000.0);
-  if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, live.size());
+  if (tb)
+    tb->record(TraceKind::kFeed, claim_ns, d0, live.size(),
+               static_cast<std::uint64_t>(fed));
   try {
-    lead->session->try_decode_batch(ws, jobs);
+    lead.session->try_decode_batch(ws, w.jobs);
   } catch (...) {
     // A torn batched attempt taints every block in it: which blocks hold
     // valid candidates is unknowable, so all of them fail loudly rather
     // than any continuing on garbage.
     const std::exception_ptr err = std::current_exception();
-    for (SessionState* s : live)
-      fail_session(scope, *s, err, /*release_slot=*/false);
-    if (tb)
-      for (std::size_t i = 0; i < live.size(); ++i)
-        tb->instant(TraceKind::kComplete, now_ns(), live_idx[i], 0);
+    for (std::size_t i = 0; i < live.size(); ++i)
+      finish_session(scope, *live[i], claim[i].session, err);
     release_session_slots(released + live.size());
     return;
   }
@@ -520,90 +423,86 @@ void DecodeService::session_step_batch(WorkerScope& scope,
   const double per = (static_cast<double>(d1 - d0) / 1000.0) /
                      static_cast<double>(live.size());
   scope.telemetry().record_attempts(live.size(), per, reduced, ws == nullptr);
-  // The stage view keeps the fused span whole (one service event per
+  // The stage view keeps the shared span whole (one service event per
   // claim); the per-attempt split stays in decode_latency_us and the
   // per-tag lane, whose counts track attempts.
   scope.telemetry().record_decode_service(static_cast<double>(d1 - d0) /
                                           1000.0);
-  tag_stats_.lane(lead->batch_tag).record_attempts(live.size(), per);
+  tag_stats_.lane(lead.batch_tag).record_attempts(live.size(), per);
   if (tb)
     tb->record(TraceKind::kDecode, d0, d1, live.size(),
                static_cast<std::uint64_t>(effort));
 
-  // Phase 3 — per-session accounting and continuation, same shape as
-  // the solo step (latency attributed evenly across the batch). The
-  // still-running sessions are collected and reposted as one queue
-  // transaction at the end: paying a lock + notify per continuation
-  // would hand back a large slice of the overhead the batch just saved.
-  std::vector<SessionState*> repost;
-  std::vector<QueueJob> repost_jobs;
+  // Phase 3 — per-session accounting (latency attributed evenly across
+  // the claim) and continuation.
   for (std::size_t i = 0; i < live.size(); ++i) {
-    SessionState* s = live[i];
+    SessionState& s = *live[i];
     try {
-      s->report.decode_micros += per;
-      if (reduced) ++s->report.reduced_effort_attempts;
-      s->run->record_attempt(candidates[i]);
+      s.report.decode_micros += per;
+      if (reduced) ++s.report.reduced_effort_attempts;
+      s.run->record_attempt(candidates[i]);
 
-      if (!s->run->finished() && reduced && opt_.adapt.retry_full_when_idle &&
+      // A shrunk attempt that failed gets one full-effort retry on the
+      // same symbols when the queue has drained: compute is free when
+      // idle, channel symbols never are.
+      if (!s.run->finished() && reduced && opt_.adapt.retry_full_when_idle &&
           scope.idle()) {
         const std::uint64_t r0 = now_ns();
         const std::optional<util::BitVec> cand =
-            s->session->try_decode_with(ws, 0);
+            s.session->try_decode_with(ws, 0);
         const std::uint64_t r1 = now_ns();
         const double us = static_cast<double>(r1 - r0) / 1000.0;
         scope.telemetry().record_attempt(us, false, true, ws == nullptr);
         scope.telemetry().record_decode_service(us);
-        tag_stats_.lane(s->batch_tag).record_attempts(1, us);
+        tag_stats_.lane(s.batch_tag).record_attempts(1, us);
         if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
-        s->report.decode_micros += us;
-        ++s->report.full_effort_retries;
-        s->run->record_attempt(cand);
+        s.report.decode_micros += us;
+        ++s.report.full_effort_retries;
+        s.run->record_attempt(cand);
       }
 
-      if (s->run->finished()) {
-        finish_session(scope, *s, /*release_slot=*/false);
-        if (tb)
-          tb->instant(TraceKind::kComplete, now_ns(), live_idx[i],
-                      s->report.run.success ? 1 : 0);
+      if (s.run->finished()) {
+        finish_session(scope, s, claim[i].session);
         ++released;
         continue;
       }
+      keep(i);
     } catch (...) {
-      fail_session(scope, *s, std::current_exception(), /*release_slot=*/false);
-      if (tb) tb->instant(TraceKind::kComplete, now_ns(), live_idx[i], 0);
+      finish_session(scope, s, claim[i].session, std::current_exception());
       ++released;
-      continue;
     }
-    repost.push_back(s);
-    QueueJob job;
-    job.session = live_idx[i];
-    repost_jobs.push_back(std::move(job));
   }
-  // All sessions in the batch carry the same interned tag (same-tag by
-  // construction of the claim), so one shared tag covers the repost —
-  // onto this worker's own shard, where the next claim finds the whole
-  // run contiguous at the head. One enqueue timestamp covers the lot
-  // (queue-wait is head-attributed at the claim anyway).
-  if (!repost_jobs.empty()) {
+  truncate();
+
+  // The continuing sessions repost as one queue transaction onto this
+  // worker's own shard (their state is hot in this core's cache, and the
+  // next claim finds a batchable run contiguous at the head). One
+  // enqueue timestamp covers the lot: queue-wait is head-attributed at
+  // the claim anyway.
+  if (!claim.empty()) {
     const std::uint64_t p0 = now_ns();
-    for (QueueJob& job : repost_jobs) {
-      job.tag = repost.front()->batch_tag;
-      job.enqueue_ns = p0;
-    }
-    if (!queue_.push_many(repost_jobs, repost.front()->batch_tag,
-                          scope.w_->index, repost.front()->batchable)) {
-      // session_job_refused releases each refused session's slot itself.
-      for (SessionState* s : repost) session_job_refused(*s);
-    } else if (tb) {
-      tb->record(TraceKind::kRepost, p0, now_ns(), repost_jobs.size());
+    for (QueueJob& job : claim) job.enqueue_ns = p0;
+    if (queue_.push_many(claim, lead.batch_tag, w.index, lead.batchable)) {
+      if (tb) tb->record(TraceKind::kRepost, p0, now_ns(), claim.size());
+    } else {
+      for (SessionState* s : live) session_job_refused(*s);
+      released += live.size();
     }
   }
   release_session_slots(released);
 }
 
 void DecodeService::finish_session(WorkerScope& scope, SessionState& s,
-                                   bool release_slot) {
+                                   std::size_t id, std::exception_ptr err) {
+  if (err) {
+    std::lock_guard lock(state_m_);
+    if (!first_error_) first_error_ = err;
+  }
   s.report.run = s.run->result();
+  // An error may have torn the MessageRun mid-feed or mid-attempt, so
+  // its success flag cannot be trusted — keep the counters for the
+  // report but mark the run failed explicitly.
+  if (err) s.report.run.success = false;
   s.report.message_bits = s.session->message_bits();
   // Symbols streamed after the last attempt (the give-up tail) have not
   // hit the feed counter yet.
@@ -611,36 +510,16 @@ void DecodeService::finish_session(WorkerScope& scope, SessionState& s,
   s.symbols_seen = s.report.run.symbols;
   scope.telemetry().record_session_done(s.report.run.success,
                                         s.report.message_bits);
+  if (TraceBuffer* tb = scope.w_->trace)
+    tb->instant(TraceKind::kComplete, now_ns(), id,
+                s.report.run.success ? 1 : 0);
   // Release the heavyweight per-session state (decoder symbol stores,
   // channel RNGs) now rather than at drain — with thousands of
   // in-flight sessions this is the difference between O(active) and
   // O(submitted) memory. Only `report` is read after this point.
   s.run.reset();
   s.session.reset();
-  if (release_slot) release_session_slot();
 }
-
-void DecodeService::fail_session(WorkerScope& scope, SessionState& s,
-                                 std::exception_ptr err, bool release_slot) {
-  {
-    std::lock_guard lock(state_m_);
-    if (!first_error_) first_error_ = err;
-  }
-  // The throwing step may have torn the MessageRun mid-feed or
-  // mid-attempt, so its success flag cannot be trusted — take the
-  // counters for the report but mark the run failed explicitly.
-  s.report.run = s.run->result();
-  s.report.run.success = false;
-  s.report.message_bits = s.session->message_bits();
-  scope.telemetry().record_feed(s.report.run.symbols - s.symbols_seen);
-  s.symbols_seen = s.report.run.symbols;
-  scope.telemetry().record_session_done(false, s.report.message_bits);
-  s.run.reset();
-  s.session.reset();
-  if (release_slot) release_session_slot();
-}
-
-void DecodeService::release_session_slot() { release_session_slots(1); }
 
 void DecodeService::release_session_slots(std::size_t n) {
   if (n == 0) return;
@@ -724,7 +603,7 @@ void DecodeService::post(Task task) {
   QueueJob job;
   job.enqueue_ns = now_ns();
   if (tracer_)
-    tracer_->thread_buffer()->instant(TraceKind::kCrossShard, job.enqueue_ns,
+    tracer_->thread_buffer()->instant(TraceKind::kTaskPost, job.enqueue_ns,
                                       0, 0);
   job.task = [this, t = std::move(task)](WorkerScope& scope) {
     try {

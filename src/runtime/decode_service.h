@@ -20,6 +20,9 @@
 // mutexes provide the happens-before edge between the workers that
 // successively advance a session.
 //
+// Every claim of session jobs, of any size, is one step_sessions call:
+// a solo claim is a batch of one.
+//
 // Queue sharding: submissions route by the job's interned batch tag, so
 // same-WorkspaceKey jobs colocate on one shard and a worker's dequeue
 // finds long same-tag runs without widening its scan window; a worker
@@ -166,19 +169,26 @@ class DecodeService {
   void post(Task task);
 
  private:
+  struct SessionState;
   struct Worker {
     int index = 0;  ///< dense worker id: queue consumer id + pin slot
     std::map<WorkspaceKey, std::unique_ptr<sim::CodecWorkspace>> pinned;
     WorkerTelemetry telemetry;
     TraceBuffer* trace = nullptr;  ///< the worker's trace timeline (or null)
+    // Session-step scratch, cleared per claim and reused so a step
+    // allocates nothing of its own in steady state: the claim's sessions
+    // (compacted as they finish) and the shared attempt's jobs and
+    // candidate slots.
+    std::vector<SessionState*> live;
+    std::vector<sim::BatchDecodeJob> jobs;
+    std::vector<std::optional<util::BitVec>> candidates;
     std::thread thread;
   };
-  struct SessionState;
 
   /// One queue entry: a session step (session != kNoSession; the Task is
   /// empty) or an external task. Session steps travel as bare indices so
-  /// a multi-job claim (always session steps of one batchable tag) can
-  /// regroup them into one session_step_batch.
+  /// a claim — one job, or a same-tag run of a batchable tag — passes
+  /// straight into step_sessions, which reuses it as the repost list.
   /// Jobs carry their interned tag and enqueue timestamp so the claim
   /// can attribute queue-wait per tag without a state lookup.
   struct QueueJob {
@@ -190,30 +200,27 @@ class DecodeService {
   };
 
   void worker_loop(Worker& w);
-  /// @p claim_ns: now_ns() when the serving claim landed (start of the
-  /// batch-assembly stage).
-  void session_step(WorkerScope& scope, std::size_t index,
-                    std::uint64_t claim_ns);
-  void session_step_batch(WorkerScope& scope,
-                          const std::vector<std::size_t>& indices,
-                          std::uint64_t claim_ns);
-  /// @p release_slot false defers the admission-slot release to a bulk
-  /// release_session_slots() call at the end of a batch step (one lock
-  /// for the whole batch instead of one per finishing session).
-  void finish_session(WorkerScope& scope, SessionState& s,
-                      bool release_slot = true);
-  /// Error-path twin of finish_session: records @p err as the drain()
-  /// error, marks the report failed explicitly (a throwing step may have
-  /// left the MessageRun mid-feed, so its success flag is not re-derived
-  /// from the torn run) and releases the session.
-  void fail_session(WorkerScope& scope, SessionState& s,
-                    std::exception_ptr err, bool release_slot = true);
-  void release_session_slot();
+  /// Serves one claim of session jobs (all of one tag) as one step: feed,
+  /// one shared decode attempt, per-session accounting, one repost and
+  /// one deferred slot release. @p claim_ns: now_ns() when the claim
+  /// landed (start of the batch-assembly stage). @p claim is consumed.
+  void step_sessions(WorkerScope& scope, std::vector<QueueJob>& claim,
+                     std::uint64_t claim_ns);
+  /// Ends session @p id's run: fills its report, records its feed tail,
+  /// outcome and completion instant, and releases its heavyweight state.
+  /// With @p err set (the error path) it also records @p err as the
+  /// drain() error and marks the report failed explicitly — a throwing
+  /// step may have left the MessageRun mid-feed, so its success flag is
+  /// not re-derived from the torn run. The admission slot is not
+  /// released here: the step releases all of its slots at its end.
+  void finish_session(WorkerScope& scope, SessionState& s, std::size_t id,
+                      std::exception_ptr err = nullptr);
   void release_session_slots(std::size_t n);
-  /// @p home: pushing worker's shard (self-repost locality) or kNoShard
-  /// for external submitters.
-  void push_session_job(std::size_t index,
-                        int home = ShardedJobQueue<QueueJob>::kNoShard);
+  /// Enqueues an admitted session's first job (external admission;
+  /// continuations repost through step_sessions).
+  void push_session_job(std::size_t index, SessionState& s);
+  /// The queue (closed) refused a session's job: fails its report and
+  /// records the drain() error. The caller releases the slot.
   void session_job_refused(SessionState& s);
   /// CAS-reserves one admission slot against max_in_flight_; lock-free.
   /// Returns the post-reservation in-flight count, or -1 at capacity.

@@ -45,7 +45,7 @@ const char* trace_kind_name(TraceKind k) noexcept {
     case TraceKind::kRepost: return "repost";
     case TraceKind::kComplete: return "complete";
     case TraceKind::kSteal: return "steal";
-    case TraceKind::kCrossShard: return "cross_shard_submit";
+    case TraceKind::kTaskPost: return "task_post";
     case TraceKind::kTask: return "task";
   }
   return "unknown";

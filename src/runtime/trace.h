@@ -19,7 +19,7 @@
 //      call sites need no #ifdefs and the optimizer erases them.
 //
 // Event vocabulary (runtime stages): submit, queue-wait, claim, feed,
-// decode, repost, complete, steal, cross-shard-submit, task. Each event
+// decode, repost, complete, steal, task-post, task. Each event
 // is {kind, start_ns, end_ns, a0, a1} on a named per-thread timeline;
 // start == end renders as an instant.
 
@@ -51,12 +51,15 @@ enum class TraceKind : std::uint8_t {
   kSubmit = 0,     ///< instant: session admitted (a0 = session id, a1 = shard)
   kQueueWait = 1,  ///< span: head-of-claim enqueue -> claim (a0 = jobs, a1 = tag)
   kClaim = 2,      ///< span: pop_batch call (a0 = jobs claimed, a1 = shard)
-  kFeed = 3,       ///< span: symbol streaming / batch assembly (a0 = jobs)
+  /// span: symbol streaming / batch assembly (a0 = jobs decoded, a1 =
+  /// channel symbols this claim fed them — the feed-counter increment;
+  /// a give-up tail is counted at completion instead)
+  kFeed = 3,
   kDecode = 4,     ///< span: fused decode attempt (a0 = jobs, a1 = effort)
   kRepost = 5,     ///< span: continuation re-enqueue (a0 = jobs)
   kComplete = 6,   ///< instant: session finished (a0 = session id, a1 = success)
   kSteal = 7,      ///< instant: batch stolen (a0 = jobs, a1 = victim shard)
-  kCrossShard = 8, ///< instant: external task posted (a shardless, untagged push)
+  kTaskPost = 8,   ///< instant: external task posted (post())
   kTask = 9,       ///< span: external posted task
 };
 

@@ -7,6 +7,7 @@
 // counter), and the link-symbol SessionMux. These suites (plus
 // test_experiment) also run under the ThreadSanitizer CI lane.
 
+#include <algorithm>
 #include <functional>
 #include <future>
 #include <sstream>
@@ -167,8 +168,8 @@ SessionSpec same_key_spec(int i) {
 
 /// Small-B BSC links (B=2, c=1, n in {4, 8}: 32-64 node expansions per
 /// attempt), cheap enough that their batch keys are batchable — the
-/// fleets that keep the fused path (session_step_batch,
-/// try_decode_batch) exercised. @p keys distinct CodeParams cycle per
+/// fleets that keep multi-job claims (fused try_decode_batch)
+/// exercised. @p keys distinct CodeParams cycle per
 /// session (1: a same-key fleet).
 SessionSpec small_b_spec(int i, int keys) {
   util::Xoshiro256 prng(0x5B0B0000u + static_cast<std::uint64_t>(i));
@@ -305,18 +306,28 @@ TEST(Runtime, AdaptiveModeBatchedFleetStillDecodes) {
   }
 }
 
-/// Runs @p kSessions specs through one deterministic worker held behind
-/// a gate task until every session is queued — the claim sequence is
-/// then a pure function of the inputs — and returns the telemetry.
-TelemetrySnapshot gated_one_worker_run(const SpecMaker& make, int sessions) {
-  RuntimeOptions opt = det_opts(1);
-  opt.max_in_flight = sessions;
-  DecodeService service(opt);
+/// Submits @p sessions specs to @p service (one deterministic worker)
+/// while its worker is held behind a gate task, then opens the gate: the
+/// claim sequence is then a pure function of the inputs.
+void gated_submit(DecodeService& service, const SpecMaker& make, int sessions) {
   std::promise<void> open;
   std::shared_future<void> gate = open.get_future().share();
   service.post([gate](DecodeService::WorkerScope&) { gate.wait(); });
   for (int i = 0; i < sessions; ++i) service.submit(make(i));
   open.set_value();
+}
+
+RuntimeOptions gated_opts(int sessions) {
+  RuntimeOptions opt = det_opts(1);
+  opt.max_in_flight = sessions;
+  return opt;
+}
+
+/// gated_submit on a fresh service; every session must decode. Returns
+/// the telemetry.
+TelemetrySnapshot gated_one_worker_run(const SpecMaker& make, int sessions) {
+  DecodeService service(gated_opts(sessions));
+  gated_submit(service, make, sessions);
   for (const SessionReport& r : service.drain()) EXPECT_TRUE(r.run.success);
   return service.telemetry();
 }
@@ -428,8 +439,11 @@ TEST(Runtime, TrySubmitThrowDoesNotInflatePeak) {
 }
 
 /// A session whose decode always throws, for the error-path contract.
+/// The batchable variant carries a batchable batch key, so queued
+/// siblings share a claim and its one torn batched attempt.
 class ThrowingSession final : public sim::RatelessSession {
  public:
+  explicit ThrowingSession(bool batchable) : batchable_(batchable) {}
   int message_bits() const override { return 8; }
   void start(const util::BitVec&) override {}
   std::vector<std::complex<float>> next_chunk() override {
@@ -441,30 +455,77 @@ class ThrowingSession final : public sim::RatelessSession {
     throw std::runtime_error("decoder blew up");
   }
   int max_chunks() const override { return 4; }
+  sim::WorkspaceKey batch_key() const override {
+    if (!batchable_) return {};
+    return {"throwing", "", /*batchable=*/true};
+  }
+
+ private:
+  bool batchable_;
 };
 
 TEST(Runtime, ThrowingDecodeMarksReportFailedAndSurfacesError) {
   // Regression: the step's catch block used to re-derive the report from
   // the torn MessageRun (finish_session re-reads result() mid-step); the
   // report must be marked failed explicitly and the error must reach
-  // drain().
-  DecodeService service(det_opts(1));
-  SessionSpec spec;
-  spec.make_session = [] { return std::make_unique<ThrowingSession>(); };
-  spec.channel.kind = sim::ChannelKind::kAwgn;
-  spec.channel.snr_db = 20.0;
-  spec.channel.seed = 1;
-  util::Xoshiro256 prng(2);
-  spec.message = prng.random_bits(8);
-  service.submit(std::move(spec));
-  service.submit(make_spec(0));  // a healthy session still completes
-  EXPECT_THROW(service.drain(), std::runtime_error);
-  const auto got = service.drain();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_FALSE(got[0].run.success);
-  EXPECT_EQ(got[0].message_bits, 8);
-  EXPECT_TRUE(got[1].run.success);
-  EXPECT_GE(service.telemetry().counters.sessions_failed, 1u);
+  // drain(), while a healthy session in the same drain still completes.
+  // Two inputs: untagged throwing sessions (one-job claims) and a
+  // batchable key whose queued jobs share one claim, so the throw tears
+  // a multi-job attempt and must fail every session in it. The healthy
+  // session has its own tag, so it is never part of the torn claim.
+  constexpr int kSessions = 6;
+  constexpr int kHealthy = kSessions / 2;  // submitted amid the throwers
+  for (const bool batchable : {false, true}) {
+    SCOPED_TRACE(batchable ? "batchable" : "solo");
+    DecodeService service(gated_opts(kSessions + 1));
+    gated_submit(
+        service,
+        [batchable](int i) {
+          if (i == kHealthy) return make_spec(0);
+          SessionSpec spec;
+          spec.make_session = [batchable] {
+            return std::make_unique<ThrowingSession>(batchable);
+          };
+          spec.channel.kind = sim::ChannelKind::kAwgn;
+          spec.channel.snr_db = 20.0;
+          spec.channel.seed = 1 + static_cast<std::uint64_t>(i);
+          util::Xoshiro256 prng(2 + static_cast<std::uint64_t>(i));
+          spec.message = prng.random_bits(8);
+          return spec;
+        },
+        kSessions + 1);
+    EXPECT_THROW(service.drain(), std::runtime_error);
+    const auto got = service.drain();  // the error surfaces exactly once
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kSessions + 1));
+    for (int i = 0; i <= kSessions; ++i) {
+      if (i == kHealthy) continue;
+      EXPECT_FALSE(got[static_cast<std::size_t>(i)].run.success) << i;
+      EXPECT_EQ(got[static_cast<std::size_t>(i)].message_bits, 8) << i;
+    }
+    EXPECT_TRUE(got[kHealthy].run.success);
+    const TelemetrySnapshot snap = service.telemetry();
+    EXPECT_EQ(snap.counters.sessions_failed,
+              static_cast<std::uint64_t>(kSessions));
+    const std::string label = batchable ? "throwing" : "untagged";
+    const auto tag =
+        std::find_if(snap.tags.begin(), snap.tags.end(),
+                     [&](const TagTelemetry& t) { return t.label == label; });
+    ASSERT_NE(tag, snap.tags.end());
+    if (batchable)
+      EXPECT_GT(tag->claim_jobs.max(), 1.0);
+    else
+      EXPECT_EQ(tag->claim_jobs.max(), 1.0);
+
+    // Every failed session released its admission slot: a full cap of
+    // healthy sessions is admitted without waiting, and decodes.
+    for (int i = 0; i < service.max_in_flight(); ++i)
+      EXPECT_TRUE(service.try_submit(make_spec(i)).has_value()) << i;
+    const auto after = service.drain();
+    ASSERT_EQ(after.size(), static_cast<std::size_t>(kSessions + 1 +
+                                                     service.max_in_flight()));
+    for (std::size_t i = kSessions + 1; i < after.size(); ++i)
+      EXPECT_TRUE(after[i].run.success) << i;
+  }
 }
 
 // ------------------------------------------ non-spinal codec families
@@ -809,8 +870,15 @@ TEST(Runtime, TraceExportCapturesPipelineEvents) {
   opt.trace.enabled = true;
   DecodeService service(opt);
   ASSERT_NE(service.tracer(), nullptr);
-  for (int i = 0; i < kSessions; ++i) service.submit(make_spec(i));
-  service.drain();
+  // make_spec sessions claim alone; the B=2 links form multi-job claims.
+  for (int i = 0; i < kSessions; ++i) {
+    service.submit(make_spec(i));
+    service.submit(small_b_spec(i, 1));
+  }
+  // Every session decodes (each spec's pass budget is far above its need,
+  // reduced-effort attempts included), so no give-up tail bypasses the
+  // feed spans.
+  for (const SessionReport& r : service.drain()) ASSERT_TRUE(r.run.success);
 
   std::ostringstream os;
   service.tracer()->export_json(os);
@@ -826,7 +894,18 @@ TEST(Runtime, TraceExportCapturesPipelineEvents) {
   for (std::size_t p = json.find("\"complete\""); p != std::string::npos;
        p = json.find("\"complete\"", p + 1))
     ++completes;
-  EXPECT_EQ(completes, static_cast<std::size_t>(kSessions));
+  EXPECT_EQ(completes, static_cast<std::size_t>(2 * kSessions));
+  // Each feed span's a1 is the symbols its claim fed: they add up to the
+  // feed counter.
+  std::uint64_t fed = 0;
+  const std::string feed = "{\"name\": \"feed\"", a1 = "\"a1\": ";
+  for (std::size_t p = json.find(feed); p != std::string::npos;
+       p = json.find(feed, p + 1)) {
+    const std::size_t v = json.find(a1, p);
+    ASSERT_NE(v, std::string::npos);
+    fed += std::stoull(json.substr(v + a1.size(), 20));
+  }
+  EXPECT_EQ(fed, service.telemetry().counters.symbols_fed);
 }
 #endif  // SPINAL_RUNTIME_TRACE
 

@@ -4,7 +4,7 @@
 The decode service's event tracer (src/runtime/trace.h) exports Chrome
 tracing / Perfetto JSON: "X" duration events for the pipeline stages
 (queue_wait, claim, feed, decode, repost, task), "i" instants for
-submit / complete / steal / cross_shard_submit, and "M" thread-name
+submit / complete / steal / task_post, and "M" thread-name
 metadata. This tool turns one such file into a terminal report:
 
   per-stage latency      p50/p95/p99/max over every span of each stage
@@ -32,7 +32,7 @@ import sys
 # Event names the exporter emits, keyed by phase type. Kept in lockstep
 # with trace_kind_name() in src/runtime/trace.cpp.
 SPAN_NAMES = ("queue_wait", "claim", "feed", "decode", "repost", "task")
-INSTANT_NAMES = ("submit", "complete", "steal", "cross_shard_submit")
+INSTANT_NAMES = ("submit", "complete", "steal", "task_post")
 ALL_NAMES = set(SPAN_NAMES) | set(INSTANT_NAMES)
 
 # Stage histograms the metrics snapshot must always carry.
