@@ -8,7 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "backend/backend.h"
 #include "channel/awgn.h"
@@ -30,20 +34,28 @@ CodeParams make_params(int n, int k, int B, int d) {
   return p;
 }
 
-/// Feeds @p passes unpunctured passes of noisy symbols into @p dec.
-void feed_awgn(const CodeParams& p, SpinalDecoder& dec, int passes,
-               bool with_csi = false) {
+/// Feeds the first @p subpasses punctured subpasses of noisy symbols
+/// into @p dec.
+void feed_awgn_subpasses(const CodeParams& p, SpinalDecoder& dec, int subpasses,
+                         bool with_csi = false) {
   util::Xoshiro256 prng(7);
   const SpinalEncoder enc(p, prng.random_bits(p.n));
   channel::AwgnChannel ch(10.0, 11);
   const PuncturingSchedule sched(p);
-  for (int sp = 0; sp < passes * sched.subpasses_per_pass(); ++sp)
+  for (int sp = 0; sp < subpasses; ++sp)
     for (const SymbolId& id : sched.subpass(sp)) {
       if (with_csi)
         dec.add_symbol(id, ch.transmit(enc.symbol(id)), {0.9f, 0.3f});
       else
         dec.add_symbol(id, ch.transmit(enc.symbol(id)));
     }
+}
+
+/// Feeds @p passes unpunctured passes of noisy symbols into @p dec.
+void feed_awgn(const CodeParams& p, SpinalDecoder& dec, int passes,
+               bool with_csi = false) {
+  feed_awgn_subpasses(p, dec, passes * PuncturingSchedule(p).subpasses_per_pass(),
+                      with_csi);
 }
 
 void feed_bsc(const CodeParams& p, BscSpinalDecoder& dec, int passes) {
@@ -56,19 +68,25 @@ void feed_bsc(const CodeParams& p, BscSpinalDecoder& dec, int passes) {
       dec.add_bit(id, ch.transmit(enc.bit(id)));
 }
 
-/// args: n, k, B, d, passes. Reports decoded message bits per second.
-void BM_DecodeAwgn(benchmark::State& state) {
+/// args: n, k, B, d, then passes (or subpasses when @p subpasses).
+/// Reports decoded message bits per second.
+void decode_awgn(benchmark::State& state, bool subpasses) {
   const CodeParams p =
       make_params(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
                   static_cast<int>(state.range(2)), static_cast<int>(state.range(3)));
   SpinalDecoder dec(p);
-  feed_awgn(p, dec, static_cast<int>(state.range(4)));
+  const int symbols = static_cast<int>(state.range(4));
+  if (subpasses)
+    feed_awgn_subpasses(p, dec, symbols);
+  else
+    feed_awgn(p, dec, symbols);
   for (auto _ : state) {
     auto r = dec.decode();
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * p.n);
 }
+void BM_DecodeAwgn(benchmark::State& state) { decode_awgn(state, false); }
 // The tracked reference point (paper's recommended operating point).
 BENCHMARK(BM_DecodeAwgn)
     ->Args({256, 4, 256, 1, 2})   // reference: n=256, k=4, B=256, d=1
@@ -77,7 +95,77 @@ BENCHMARK(BM_DecodeAwgn)
     ->Args({96, 3, 64, 2, 2})     // deep bubble d=2
     ->Args({256, 4, 256, 2, 2})   // d=2 at the reference geometry
     ->Args({256, 4, 256, 1, 8})   // symbol-heavy (8 passes)
+    ->Args({256, 4, 32, 1, 2})    // link geometry at the load valve's
+    ->Args({256, 4, 16, 1, 2})    // reduced beams
     ->ArgNames({"n", "k", "B", "d", "passes"});
+// Early attempts at the link geometry: after two subpasses a rateless
+// receiver's first decode attempts run with most spine values still
+// carrying no symbol, so their levels tie every child to its parent.
+void BM_DecodeAwgnEarly(benchmark::State& state) { decode_awgn(state, true); }
+BENCHMARK(BM_DecodeAwgnEarly)
+    ->Name("BM_DecodeAwgn")
+    ->Args({256, 4, 32, 1, 2})
+    ->Args({256, 4, 16, 1, 2})
+    ->ArgNames({"n", "k", "B", "d", "subpasses"});
+
+/// Exact B-of-N selection (Backend::select_keys / select_keys_u32) on
+/// keys shaped like one d=1 level's: children of ascending parent costs
+/// (16 per parent) plus per-child metric noise, candidate index = slot;
+/// the u32 form is the same costs on the renormalized u16 grid. Each
+/// iteration copies the next of many seeded key sets into place first
+/// (a count-sized memcpy, included in the time). The pool holds 2^18
+/// keys (at least 64 sets): a short cycle of repeated inputs would let
+/// the branch predictor learn them, which real decode keys never allow.
+/// args: keep, count.
+template <class K>
+void BM_SelectKeys(benchmark::State& state) {
+  const auto keep = static_cast<std::size_t>(state.range(0));
+  const auto count = static_cast<std::size_t>(state.range(1));
+  const std::size_t kSets = std::max<std::size_t>(64, (std::size_t{1} << 18) / count);
+  std::vector<K> pool(kSets * count), work(count);
+  util::Xoshiro256 prng(21);
+  std::vector<float> cost(count);
+  for (std::size_t set = 0; set < kSets; ++set) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const float parent = 40.0f + 6.0f * static_cast<float>(i / 16) /
+                                       static_cast<float>(std::max<std::size_t>(1, count / 16));
+      const auto u = static_cast<float>(prng.next_double());
+      const auto v = static_cast<float>(prng.next_double());
+      cost[i] = parent + 6.0f * (u * u + v * v);
+    }
+    const float lo = *std::min_element(cost.begin(), cost.end());
+    for (std::size_t i = 0; i < count; ++i) {
+      if constexpr (sizeof(K) == 8)
+        pool[set * count + i] =
+            static_cast<std::uint64_t>(backend::monotone_key(cost[i])) << 32 | i;
+      else
+        pool[set * count + i] = backend::quant_key(
+            std::min(65535u, static_cast<std::uint32_t>((cost[i] - lo) * 16.0f + 0.5f)),
+            static_cast<std::uint32_t>(i));
+    }
+  }
+  const backend::Backend& be = backend::active();
+  std::size_t set = 0;
+  for (auto _ : state) {
+    std::copy_n(pool.data() + set * count, count, work.data());
+    if constexpr (sizeof(K) == 8)
+      be.select_keys(work.data(), count, keep);
+    else
+      be.select_keys_u32(work.data(), count, keep);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+    set = (set + 1) % kSets;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(count));
+}
+void select_shapes(benchmark::internal::Benchmark* b) {
+  static constexpr std::pair<int, int> kShapes[] = {
+      {2, 32}, {16, 256}, {32, 512}, {64, 128}, {64, 512}, {256, 512}, {256, 1024}, {256, 4096}};
+  for (const auto& [keep, count] : kShapes) b->Args({keep, count});
+  b->ArgNames({"keep", "count"});
+}
+BENCHMARK(BM_SelectKeys<std::uint64_t>)->Name("BM_SelectKeys/u64")->Apply(select_shapes);
+BENCHMARK(BM_SelectKeys<std::uint32_t>)->Name("BM_SelectKeys/u32")->Apply(select_shapes);
 
 /// The quantized narrow-metric path (spinal/cost_model.h) at the
 /// tracked reference geometry. args: precision (1 = u16, 2 = u8),

@@ -29,9 +29,18 @@
 //                      pinned CI gate run, which only re-checks worker
 //                      scaling).
 // Session counts scale with SPINAL_BENCH_TRIALS / SPINAL_BENCH_FULL.
+//
+// Each worker-count row also carries the process CPU time it used and
+// the host's steal ticks over its wall time (the `steal` column of
+// /proc/stat's aggregate cpu line, summed over all CPUs, in USER_HZ
+// ticks; -1 where /proc/stat is unreadable). A point whose steal is a
+// visible share of cores x wall x USER_HZ ran on a host that took the
+// cores away, so a scaling-gate failure there is host noise, not the
+// runtime.
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -125,7 +134,28 @@ struct Point {
   long decoded_bits;
   double wall_s;
   double bits_per_s;
+  double cpu_s;
+  long long steal_ticks;
 };
+
+/// Host-wide steal ticks so far (aggregate cpu line of /proc/stat), or
+/// -1 when unreadable (non-Linux hosts).
+long long host_steal_ticks() {
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (!f) return -1;
+  long long v[8] = {};
+  const int got = std::fscanf(f, "cpu %lld %lld %lld %lld %lld %lld %lld %lld", &v[0],
+                              &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]);
+  std::fclose(f);
+  return got == 8 ? v[7] : -1;
+}
+
+/// CPU time this process has used so far, all threads, in seconds.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 }  // namespace
 
@@ -165,7 +195,9 @@ int main(int argc, char** argv) {
   // SPINAL_BENCH_TRIALS overrides both bases to the same value; keep one.
   if (session_counts[0] == session_counts[1]) session_counts.pop_back();
   const std::vector<int> worker_counts = {1, 2, 4, 8};
-  std::printf("workers,sessions,decoded_bits,wall_s,bits_per_s,speedup_vs_1w\n");
+  std::printf(
+      "workers,sessions,decoded_bits,wall_s,bits_per_s,speedup_vs_1w,cpu_s,"
+      "host_steal_ticks\n");
 
   std::vector<Point> points;
   bool determinism_ok = true;
@@ -177,6 +209,8 @@ int main(int argc, char** argv) {
       opt.workers = workers;
       opt.deterministic = true;
       opt.pin_workers = pin;
+      const long long steal0 = host_steal_ticks();
+      const double cpu0 = process_cpu_s();
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<SessionReport> reports;
       {
@@ -187,6 +221,9 @@ int main(int argc, char** argv) {
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
+      const double cpu = process_cpu_s() - cpu0;
+      const long long steal1 = host_steal_ticks();
+      const long long steal = steal0 >= 0 && steal1 >= 0 ? steal1 - steal0 : -1;
       long bits = 0;
       for (const SessionReport& r : reports)
         if (r.run.success) bits += r.message_bits;
@@ -207,9 +244,9 @@ int main(int argc, char** argv) {
           }
         }
       }
-      points.push_back({workers, sessions, bits, wall, bps});
-      std::printf("%d,%d,%ld,%.3f,%.0f,%.2f\n", workers, sessions, bits, wall,
-                  bps, base_bps > 0 ? bps / base_bps : 0.0);
+      points.push_back({workers, sessions, bits, wall, bps, cpu, steal});
+      std::printf("%d,%d,%ld,%.3f,%.0f,%.2f,%.3f,%lld\n", workers, sessions, bits, wall,
+                  bps, base_bps > 0 ? bps / base_bps : 0.0, cpu, steal);
     }
   }
 
@@ -354,16 +391,16 @@ int main(int argc, char** argv) {
   if (min_scaling > 0.0) {
     // Largest session batch: bits/s at max workers vs 1 worker.
     const int sessions = session_counts.back();
-    double one = 0.0, best = 0.0;
-    int best_workers = 0;
+    const Point* one_p = nullptr;
+    const Point* best_p = nullptr;
     for (const Point& p : points) {
       if (p.sessions != sessions) continue;
-      if (p.workers == 1) one = p.bits_per_s;
-      if (p.workers >= best_workers) {
-        best_workers = p.workers;
-        best = p.bits_per_s;
-      }
+      if (p.workers == 1) one_p = &p;
+      if (!best_p || p.workers >= best_p->workers) best_p = &p;
     }
+    const double one = one_p ? one_p->bits_per_s : 0.0;
+    const double best = best_p ? best_p->bits_per_s : 0.0;
+    const int best_workers = best_p ? best_p->workers : 0;
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     if (cores == 1) {
       std::printf("# scaling gate skipped: single-core host (no speedup "
@@ -379,6 +416,11 @@ int main(int argc, char** argv) {
     std::printf("# scaling gate: %d workers / 1 worker = %.2fx "
                 "(required >= %.2fx on %u cores)\n",
                 best_workers, ratio, required, cores);
+    if (one_p && best_p)
+      std::printf("# scaling gate points: 1 worker %.3f s wall, %.3f s cpu, %lld steal "
+                  "ticks; %d workers %.3f s wall, %.3f s cpu, %lld steal ticks\n",
+                  one_p->wall_s, one_p->cpu_s, one_p->steal_ticks, best_workers,
+                  best_p->wall_s, best_p->cpu_s, best_p->steal_ticks);
     if (ratio < required) {
       std::fprintf(stderr,
                    "SCALING REGRESSION: %.2fx < required %.2fx\n", ratio,

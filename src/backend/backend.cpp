@@ -7,6 +7,7 @@
 #include "backend/backends_impl.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,319 +30,205 @@ void shared_build_keys(const float* costs, std::size_t count, std::uint64_t* key
 
 namespace {
 
-/// Branchless Lomuto partition of keys[lo, hi) on pred "byte at shift
-/// <= T": every element is unconditionally swapped toward the front and
-/// the boundary advances by the predicate value, so the selection cost
-/// does not depend on branch prediction (real cost keys arrive
-/// near-sorted and clustered — poison for branchy partitions). Returns
-/// the boundary: [lo, ret) satisfies the predicate.
-inline std::size_t partition_le(std::uint64_t* keys, std::size_t lo, std::size_t hi,
-                                int shift, std::uint64_t T) {
-  std::size_t m = lo;
-  for (std::size_t j = lo; j < hi; ++j) {
-    const std::uint64_t x = keys[j];
-    keys[j] = keys[m];
-    keys[m] = x;
-    m += ((x >> shift) & 0xFF) <= T;
+// Exact B-of-N selection over packed keys, one code path for both key
+// widths. Keys are unique in every decode (the candidate index rides
+// in the low bits), so "the keep smallest" is one well-defined set and
+// one ascending order — the same on every backend and stdlib. Real
+// cost keys arrive clustered and nearly sorted (children of the best
+// parents first), which drives introselect to several times its
+// random-input cost. Here the passes over the whole block are
+// sequential and branchless (pivot filters, bucket counts and
+// scatters), immune to input order; the branchy insertion steps only
+// touch a sample, a few dozen ambiguous keys, or keys already placed
+// in their bucket.
+
+/// Sorts the m smallest of a[0, n) ascending into a[0, m) by insertion;
+/// a[m, n) keeps the rest (a permutation). Linear on sorted input.
+template <class K>
+void insertion_top(K* a, std::size_t n, std::size_t m) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const K x = a[i];
+    std::size_t j = i;
+    if (i >= m) {
+      if (!(x < a[m - 1])) continue;
+      a[i] = a[m - 1];
+      j = m - 1;
+    }
+    for (; j > 0 && a[j - 1] > x; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
+
+/// Branchless Lomuto partition of a[0, n): every key is swapped toward
+/// the front and the boundary advances by the predicate (x < t when
+/// kStrict, else x <= t), so the cost does not depend on branch
+/// prediction. Returns the boundary.
+template <bool kStrict, class K>
+std::size_t partition_below(K* a, std::size_t n, K t) {
+  std::size_t m = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const K x = a[j];
+    a[j] = a[m];
+    a[m] = x;
+    m += kStrict ? x < t : x <= t;
   }
   return m;
 }
 
-/// Ascending LSD radix sort of keys[0, n): branch-free counting passes,
-/// skipping bytes on which all keys agree (cost keys cluster, so most
-/// high bytes are constant). Falls back to std::sort above the stack
-/// scratch size — selection keeps B candidates, so this only triggers
-/// for beams wider than 4096.
-inline void sort_keys_prefix(std::uint64_t* keys, std::size_t n) {
-  constexpr std::size_t kScratch = 4096;
-  if (n < 2) return;
+/// The keep smallest of a[0, n) (0 < keep <= n), ascending, into
+/// a[0, keep). One counting pass into < 2n buckets over the keys' own
+/// range (clustered costs spread over every bucket) finds the bucket T
+/// that holds the keep-th key; a stable scatter lays out buckets 0..T
+/// in order (the rest land in one dump bucket), and an insertion pass
+/// that only moves keys inside their bucket finishes. Buckets over 16
+/// keys are std::sort-ed first, which bounds skewed inputs at
+/// O(n log n). a[keep, n) gets the other keys, in no particular order.
+/// Blocks past the stack scratch (beams wider than 1365 only) take
+/// std::nth_element + std::sort.
+template <class K>
+void bucket_select(K* a, std::size_t n, std::size_t keep) {
+  constexpr std::size_t kInsertion = 16, kBucketSort = 16, kScratch = 4096;
+  if (n <= kInsertion) return insertion_top(a, n, keep);
   if (n > kScratch) {
-    std::sort(keys, keys + n);
-    return;
+    std::nth_element(a, a + keep - 1, a + n);
+    return std::sort(a, a + keep);
   }
-  std::uint64_t k0 = keys[0], diff = 0;
-  for (std::size_t i = 1; i < n; ++i) diff |= keys[i] ^ k0;
-  std::uint64_t tmp[kScratch];
-  std::uint64_t* src = keys;
-  std::uint64_t* dst = tmp;
-  // LSD passes over the differing COST bytes only (16-bit counters:
-  // for the streaming pipeline's kept-prefix sorts — a few hundred
-  // keys, every level — the histogram zeroing dominates, and skipping
-  // the candidate-index bytes drops the pass count further). Equal-cost
-  // runs come out in scrambled order and are fixed afterwards; float
-  // costs make exact ties rare (integer Hamming costs tie more, but
-  // then the runs sort in one comparison burst each).
-  for (int shift = 32; shift < 64; shift += 8) {
-    if (((diff >> shift) & 0xFF) == 0) continue;  // constant byte
-    std::uint16_t off[256] = {};
-    for (std::size_t i = 0; i < n; ++i) ++off[(src[i] >> shift) & 0xFF];
-    std::uint16_t sum = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      const std::uint16_t c = off[b];
-      off[b] = sum;
-      sum = static_cast<std::uint16_t>(sum + c);
+  if (keep == n && std::is_sorted(a, a + n)) return;
+  // Bucket on the key with the unused top bits of its candidate-index
+  // half squeezed out — cost << cb | index, cb = the indices' width —
+  // so equal-cost keys (integer metrics tie a lot) still spread.
+  constexpr int kHalf = 4 * sizeof(K);
+  constexpr K kIndex = (K{1} << kHalf) - 1;
+  K lo = a[0], hi = a[0], index_bits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, a[i]);
+    hi = std::max(hi, a[i]);
+    index_bits |= a[i];
+  }
+  const int cb = std::bit_width(static_cast<K>(index_bits & kIndex));
+  const auto squeeze = [cb](K x) { return (x >> kHalf) << cb | (x & kIndex); };
+  const K base = squeeze(lo);
+  const int range_bits = std::bit_width(static_cast<K>(squeeze(hi) - base));
+  const int shift = std::max(0, range_bits - static_cast<int>(std::bit_width(n)));
+  const auto bucket = [&](K x) { return static_cast<std::size_t>((squeeze(x) - base) >> shift); };
+  std::uint16_t start[2 * kScratch + 1];
+  std::memset(start, 0, (bucket(hi) + 1) * sizeof(start[0]));
+  for (std::size_t i = 0; i < n; ++i) ++start[bucket(a[i])];
+  std::size_t t = 0;  // bucket ends, up to the bucket T holding the keep-th key
+  std::uint16_t sum = 0, largest = 0;
+  for (;; ++t) {
+    largest = std::max(largest, start[t]);
+    start[t] = sum += start[t];
+    if (sum >= keep) break;
+  }
+  start[t + 1] = static_cast<std::uint16_t>(n);  // the dump bucket's end
+  K tmp[kScratch];
+  for (std::size_t i = n; i-- > 0;) tmp[--start[std::min(bucket(a[i]), t + 1)]] = a[i];
+  // start[b] is now bucket b's first slot.
+  const auto size = [&](std::size_t b) { return std::size_t{start[b + 1]} - start[b]; };
+  if (largest > kBucketSort)
+    for (std::size_t b = 0; b <= t; ++b)
+      if (size(b) > kBucketSort) std::sort(tmp + start[b], tmp + start[b + 1]);
+  if (size(t) <= kBucketSort) insertion_top(tmp + start[t], size(t), keep - start[t]);
+  a[0] = tmp[0];
+  for (std::size_t i = 1; i < keep; ++i) {
+    const K x = tmp[i];
+    std::size_t j = i;
+    for (; j > 0 && a[j - 1] > x; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+  std::memcpy(a + keep, tmp + keep, (n - keep) * sizeof(K));  // the rest, so a stays a permutation
+}
+
+/// One Floyd–Rivest style round over the block keys[0, count) that
+/// needs its keep smallest: two pivots from a strided 16-key sample
+/// bracket rank keep; one branchless pass keeps <= hi (the keep-th key
+/// lies below it unless the sample was unlucky) and, when @p lower, a
+/// second pass over that prefix splits off the certainly-kept < lo
+/// keys. The block narrows to the ambiguous part — settled keys stay
+/// in front of it — and an unlucky pivot only costs one more round
+/// (the side it misjudged is settled, so the block still shrinks).
+/// Returns false when the block did not shrink (duplicate keys only).
+template <class K>
+bool filter_round(K*& keys, std::size_t& count, std::size_t& keep, bool lower) {
+  constexpr std::size_t kSample = 16;
+  K s[kSample];
+  const std::size_t stride = count / kSample;
+  for (std::size_t i = 0; i < kSample; ++i) s[i] = keys[i * stride + stride / 2];
+  const std::size_t t = keep * kSample / count;  // rank keep, in sample units
+  const std::size_t hi = t + 2;
+  insertion_top(s, kSample, std::min(hi + 1, kSample));
+  const std::size_t before = count;
+  if (hi + 1 < kSample) {
+    const std::size_t m = partition_below<false>(keys, count, s[hi]);
+    if (m <= keep) {  // everything <= hi is kept: go on above it
+      keys += m;
+      count -= m;
+      keep -= m;
+      return true;
     }
-    for (std::size_t i = 0; i < n; ++i) dst[off[(src[i] >> shift) & 0xFF]++] = src[i];
-    std::swap(src, dst);
+    count = m;
   }
-  if (src != keys) std::memcpy(keys, src, n * sizeof(std::uint64_t));
-  // Keys are unique, so equal-cost runs order deterministically by the
-  // candidate index in their low words.
-  std::size_t run = 0;
-  while (run < n) {
-    std::size_t end = run + 1;
-    while (end < n && (keys[end] >> 32) == (keys[run] >> 32)) ++end;
-    if (end - run > 1) std::sort(keys + run, keys + end);
-    run = end;
+  if (lower && t >= 2) {
+    const std::size_t m = partition_below<true>(keys, count, s[t - 2]);
+    if (m >= keep) {
+      count = m;
+    } else {
+      keys += m;
+      count -= m;
+      keep -= m;
+    }
+  }
+  return count < before;
+}
+
+/// Moves the keep smallest of keys[0, count) into [0, keep), any order:
+/// filter rounds down to a few dozen keys, then a partial insertion
+/// sort. In place, no scratch, any count.
+template <class K>
+void partition_keys(K* keys, std::size_t count, std::size_t keep) {
+  constexpr std::size_t kSmall = 48;
+  while (keep > 0 && keep < count) {
+    if (count <= kSmall) return insertion_top(keys, count, keep);
+    if (!filter_round(keys, count, keep, /*lower=*/true))
+      return std::nth_element(keys, keys + keep, keys + count);
   }
 }
 
-/// u32 twin of partition_le for the quantized path's narrow keys.
-inline std::size_t partition_le_u32(std::uint32_t* keys, std::size_t lo, std::size_t hi,
-                                    int shift, std::uint32_t T) {
-  std::size_t m = lo;
-  for (std::size_t j = lo; j < hi; ++j) {
-    const std::uint32_t x = keys[j];
-    keys[j] = keys[m];
-    keys[m] = x;
-    m += ((x >> shift) & 0xFF) <= T;
-  }
-  return m;
-}
-
-/// Ascending LSD radix sort of u32 keys[0, n). Unlike the u64 variant,
-/// the passes cover every differing byte — the full u32 key orders as
-/// (cost, candidate) directly, so there are no equal-key runs to fix
-/// afterwards (candidate indices are unique).
-inline void sort_keys_prefix_u32(std::uint32_t* keys, std::size_t n) {
-  constexpr std::size_t kScratch = 4096;
-  if (n < 2) return;
-  if (n > kScratch) {
-    std::sort(keys, keys + n);
-    return;
-  }
-  std::uint32_t k0 = keys[0], diff = 0;
-  for (std::size_t i = 1; i < n; ++i) diff |= keys[i] ^ k0;
-  std::uint32_t tmp[kScratch];
-  std::uint32_t* src = keys;
-  std::uint32_t* dst = tmp;
-  for (int shift = 0; shift < 32; shift += 8) {
-    if (((diff >> shift) & 0xFF) == 0) continue;  // constant byte
-    std::uint16_t off[256] = {};
-    for (std::size_t i = 0; i < n; ++i) ++off[(src[i] >> shift) & 0xFF];
-    std::uint16_t sum = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      const std::uint16_t c = off[b];
-      off[b] = sum;
-      sum = static_cast<std::uint16_t>(sum + c);
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[off[(src[i] >> shift) & 0xFF]++] = src[i];
-    std::swap(src, dst);
-  }
-  if (src != keys) std::memcpy(keys, src, n * sizeof(std::uint32_t));
+/// The keep smallest of keys[0, count), ascending, in [0, keep): upper
+/// filter rounds (~2 cycles a key) cut the block to at most 3x keep,
+/// then bucket_select (~10-15 cycles a key) finishes. If an unlucky
+/// pivot settled a prefix in front of the block, that prefix and the
+/// block's winners are sorted together at the end.
+template <class K>
+void select_keys(K* keys, std::size_t count, std::size_t keep) {
+  constexpr std::size_t kSmall = 48;
+  K* const out = keys;
+  const std::size_t want = keep;
+  while (keep > 0 && count > std::max(kSmall, 3 * keep))
+    if (!filter_round(keys, count, keep, /*lower=*/false)) break;
+  if (keep > 0) bucket_select(keys, count, keep);
+  if (keys != out) bucket_select(out, want, want);
 }
 
 }  // namespace
 
 void shared_partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
-  if (keep == 0 || keep >= count) return;
-  // Radix select: peel the key bytes from the top, keeping a single
-  // ambiguous block [lo, hi) that straddles the keep boundary. Each
-  // round histograms the block's highest differing byte, picks the
-  // threshold value T whose bucket contains the boundary, and
-  // partitions the block (< T kept outright, > T dropped, == T stays
-  // ambiguous). Real cost keys cluster tightly and arrive nearly
-  // sorted, which drives introselect (nth_element) to several times its
-  // random-input cost; everything here is a sequential branch-free
-  // scan, immune to input order. Keys are unique (candidate index in
-  // the low bits), so the kept *set* is exactly nth_element's, and the
-  // final prefix sort fixes the kept *order* — bit-identical selection,
-  // per the Backend::select_keys contract.
-  std::size_t lo = 0, hi = count;  // ambiguous block
-  std::size_t need = keep;         // how many of [lo, hi) are kept
-  while (need > 0 && need < hi - lo) {
-    // Jump straight to the highest byte where the block differs (an
-    // OR-reduction of XORs against one element — independent ops, so
-    // it streams). Clustered costs share their top bytes; scanning
-    // them byte-by-byte would re-walk the full block per byte.
-    const std::uint64_t k0 = keys[lo];
-    std::uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-    std::size_t i = lo;
-    for (; i + 4 <= hi; i += 4) {
-      d0 |= keys[i] ^ k0;
-      d1 |= keys[i + 1] ^ k0;
-      d2 |= keys[i + 2] ^ k0;
-      d3 |= keys[i + 3] ^ k0;
-    }
-    for (; i < hi; ++i) d0 |= keys[i] ^ k0;
-    const std::uint64_t diff = d0 | d1 | d2 | d3;
-    if (diff == 0) break;  // unreachable with unique keys; defensive
-    const int shift = (63 - std::countl_zero(diff)) & ~7;
-
-    // Histogram of that byte. Large blocks use 4 interleaved tables:
-    // clustered keys hit the same bucket over and over, and a single
-    // table would serialise on the store-to-load dependence. Small
-    // blocks — the streaming pipeline's survivor sets, a few hundred
-    // keys per refinement — use one table: zeroing 4 KiB of counters
-    // would cost more than the whole scan.
-    std::uint32_t cnt[4][256];
-    std::uint32_t* const c0 = cnt[0];
-    if (hi - lo >= 1024) {
-      std::memset(cnt, 0, sizeof(cnt));
-      i = lo;
-      for (; i + 4 <= hi; i += 4) {
-        ++cnt[0][(keys[i] >> shift) & 0xFF];
-        ++cnt[1][(keys[i + 1] >> shift) & 0xFF];
-        ++cnt[2][(keys[i + 2] >> shift) & 0xFF];
-        ++cnt[3][(keys[i + 3] >> shift) & 0xFF];
-      }
-      for (; i < hi; ++i) ++cnt[0][(keys[i] >> shift) & 0xFF];
-      for (unsigned b = 0; b < 256; ++b) c0[b] += cnt[1][b] + cnt[2][b] + cnt[3][b];
-    } else {
-      std::memset(c0, 0, sizeof(cnt[0]));
-      for (i = lo; i < hi; ++i) ++c0[(keys[i] >> shift) & 0xFF];
-    }
-
-    // Threshold byte T: its bucket straddles the keep boundary.
-    std::size_t acc = 0;
-    unsigned T = 0;
-    for (;; ++T) {
-      const std::size_t c = c0[T];
-      if (acc + c > need) break;
-      acc += c;
-    }
-    // Two branchless passes: move byte <= T to the front, then split
-    // that prefix into the kept < T part and the still-ambiguous == T
-    // block. (T == 0 has no < T part: one pass, ambiguous prefix.)
-    if (T == 0) {
-      hi = partition_le(keys, lo, hi, shift, 0);
-      continue;
-    }
-    const std::size_t le = partition_le(keys, lo, hi, shift, T);
-    const std::size_t lt = partition_le(keys, lo, le, shift, T - 1);
-    need -= lt - lo;
-    lo = lt;
-    hi = le;
-  }
+  partition_keys(keys, count, keep);
 }
 
 void shared_select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
-  if (keep == 0 || keep >= count) return;
-  shared_partition_keys(keys, count, keep);
-  sort_keys_prefix(keys, keep);
+  if (keep < count) select_keys(keys, count, keep);  // keep >= count: order kept
 }
 
 void shared_partition_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep) {
-  if (keep == 0 || keep >= count) return;
-  // Radix select over the quantized path's 4-byte keys. Keys are
-  // unique ((cost << 16) | candidate with distinct candidate indices),
-  // so the kept set matches nth_element exactly.
-  //
-  // This runs hotter than the u64 variant relative to its kernels (the
-  // integer expand is cheaper than the f32 one, so selection is a
-  // bigger slice of the decode), so the rounds are leaner: the varying
-  // bytes are found by ONE up-front diff scan instead of one per round
-  // (a round's ambiguous block only ever varies in a subset of the
-  // parent's bytes), and each round is histogram + one three-way
-  // scatter pass — byte < T compacts in place (the write cursor can't
-  // pass the read index), byte == T spills to a scratch block copied
-  // back right behind it, byte > T is dropped — instead of histogram +
-  // two branchless partition passes.
-  std::size_t lo = 0, hi = count;  // ambiguous block
-  std::size_t need = keep;         // how many of [lo, hi) are kept
-  std::uint32_t diff;
-  {
-    const std::uint32_t k0 = keys[0];
-    std::uint32_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      d0 |= keys[i] ^ k0;
-      d1 |= keys[i + 1] ^ k0;
-      d2 |= keys[i + 2] ^ k0;
-      d3 |= keys[i + 3] ^ k0;
-    }
-    for (; i < count; ++i) d0 |= keys[i] ^ k0;
-    diff = d0 | d1 | d2 | d3;
-  }
-  if (diff == 0) return;  // unreachable with unique keys; defensive
-  int shift = (31 - std::countl_zero(diff)) & ~7;
-
-  constexpr std::size_t kEqScratch = 4096;
-  std::uint32_t eqbuf[kEqScratch];
-
-  while (need > 0 && need < hi - lo) {
-    // Histogram of the block's byte at `shift`. Large blocks use 4
-    // interleaved tables (clustered keys hammer one bucket; a single
-    // table serialises on the store-to-load dependence), small blocks
-    // a single one (zeroing 4 KiB would outweigh the scan).
-    std::uint32_t cnt[4][256];
-    std::uint32_t* const c0 = cnt[0];
-    std::size_t i;
-    if (hi - lo >= 1024) {
-      std::memset(cnt, 0, sizeof(cnt));
-      i = lo;
-      for (; i + 4 <= hi; i += 4) {
-        ++cnt[0][(keys[i] >> shift) & 0xFF];
-        ++cnt[1][(keys[i + 1] >> shift) & 0xFF];
-        ++cnt[2][(keys[i + 2] >> shift) & 0xFF];
-        ++cnt[3][(keys[i + 3] >> shift) & 0xFF];
-      }
-      for (; i < hi; ++i) ++cnt[0][(keys[i] >> shift) & 0xFF];
-      for (unsigned b = 0; b < 256; ++b) c0[b] += cnt[1][b] + cnt[2][b] + cnt[3][b];
-    } else {
-      std::memset(c0, 0, sizeof(cnt[0]));
-      for (i = lo; i < hi; ++i) ++c0[(keys[i] >> shift) & 0xFF];
-    }
-
-    // Threshold byte T: its bucket straddles the keep boundary.
-    std::size_t acc = 0;
-    unsigned T = 0;
-    for (;; ++T) {
-      const std::size_t c = c0[T];
-      if (acc + c > need) break;
-      acc += c;
-    }
-    const std::size_t eqc = c0[T];
-
-    if (acc != 0 || eqc != hi - lo) {  // byte constant in block: descend only
-      if (eqc <= kEqScratch) {
-        std::size_t m = lo, eq = 0;
-        for (std::size_t j = lo; j < hi; ++j) {
-          const std::uint32_t x = keys[j];
-          const unsigned b = (x >> shift) & 0xFF;
-          keys[m] = x;
-          m += b < T;
-          eqbuf[eq] = x;
-          eq += b == T;
-        }
-        std::memcpy(keys + m, eqbuf, eq * sizeof(std::uint32_t));
-        need -= m - lo;
-        lo = m;
-        hi = m + eq;
-      } else {  // == T block outgrew the scratch: in-place two-pass split
-        const std::size_t le = partition_le_u32(keys, lo, hi, shift, T);
-        const std::size_t lt =
-            T ? partition_le_u32(keys, lo, le, shift, T - 1) : lo;
-        need -= lt - lo;
-        lo = lt;
-        hi = le;
-      }
-    }
-
-    if (shift == 0) break;  // all-equal block; unreachable with unique keys
-    const std::uint32_t below = diff & ((1u << shift) - 1u);
-    if (below == 0) break;
-    shift = (31 - std::countl_zero(below)) & ~7;
-  }
+  partition_keys(keys, count, keep);
 }
 
 void shared_select_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep) {
-  if (keep == 0) return;
   // keep >= count degenerates to a full ascending sort — the quantized
-  // finalize leans on this instead of std::sort (the radix passes beat
-  // introsort's mispredicts on a few hundred clustered keys).
-  if (keep < count) shared_partition_keys_u32(keys, count, keep);
-  sort_keys_prefix_u32(keys, std::min(keep, count));
+  // finalize leans on this for survivor sets no larger than the beam.
+  select_keys(keys, count, std::min(keep, count));
 }
 
 namespace {

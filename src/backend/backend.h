@@ -291,7 +291,9 @@ struct Backend {
   /// order (the kept set is deterministic; no order inside or outside
   /// it is). The streaming pipeline's mid-level bound refinements run
   /// this over the survivor buffer — the keep-th-best bound needs the
-  /// set, never the order, and the final select re-sorts anyway.
+  /// set, never the order, and the final select re-sorts anyway. Every
+  /// backend's table points at the one shared routine (backend.cpp:
+  /// sampled-pivot filter passes, no sort), for both key widths.
   void (*partition_keys)(std::uint64_t* keys, std::size_t count, std::size_t keep);
 
   /// Reorders keys so the keep smallest occupy [0, keep) in ascending
@@ -299,7 +301,9 @@ struct Backend {
   /// order is unspecified). Precondition: keep <= count. In the
   /// streaming pipeline this runs block-locally: over the survivor
   /// buffer once per level at the end, never over the full B·2^k
-  /// candidate set.
+  /// candidate set. Shared like partition_keys: filter passes cut the
+  /// block to ~3x keep, then one bucket pass over the keys' own range
+  /// selects and orders the winners.
   void (*select_keys)(std::uint64_t* keys, std::size_t count, std::size_t keep);
 
   /// GF(2) dense row combine: dst[w] ^= src[w] for w < words. The

@@ -20,8 +20,8 @@ const Backend* neon_backend() noexcept;
 // Packed-key B-of-N selection, shared by every backend's table (defined
 // in backend.cpp, a baseline TU — never compiled with wide-ISA flags).
 // The uint64 keys order exactly like the float comparator (cost, then
-// candidate index); the radix partition fixes the kept *set*, sorting
-// the kept prefix fixes its *order* — hence arena layout and every
+// candidate index); the pivot-filter partition fixes the kept *set*,
+// sorting the kept prefix fixes its *order* — hence arena layout and every
 // equal-cost tie-break downstream — identically on every stdlib and
 // backend. partition_keys is the set-only half: the streaming
 // pipeline's bound refinements run it mid-level, where the kept order
@@ -32,8 +32,8 @@ void shared_partition_keys(std::uint64_t* keys, std::size_t count, std::size_t k
 void shared_select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
 
 // uint32 variants for the quantized path's narrow packed keys
-// (cost << 16 | candidate). Same contract; the full u32 orders as
-// (cost, candidate) directly, so the select needs no tie-run fixup.
+// (cost << 16 | candidate): the same routine, instantiated for the
+// narrower key. select_keys_u32 with keep >= count sorts all keys.
 void shared_partition_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep);
 void shared_select_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep);
 

@@ -28,7 +28,7 @@
 //   - leaves are expanded in blocks (a few hundred children at a
 //     time), never into a monolithic [leaf][fanout] candidate buffer;
 //   - an online pruning threshold — the running B-th-best candidate
-//     bound, tightened by block-local radix refinements of a small
+//     bound, tightened by block-local set-only selections over a small
 //     survivor set — discards losing children as each block's costs
 //     come out of the kernel, without writing them anywhere;
 //   - because kept beams are cost-sorted, whole trailing leaf blocks
@@ -388,14 +388,19 @@ class BeamSearch {
   /// nothing could be pruned. Survivor keys are bit-for-bit the keys
   /// the old full build would have produced (just a filtered subset
   /// that provably contains the kept set), so this is the same
-  /// selection, run over far fewer keys.
+  /// selection, run over far fewer keys. When the survivors are no
+  /// more than the beam (common once a refinement truncated the buffer
+  /// to keep and the leaf cutoff ended the level), a max-key sentinel
+  /// in the slack slot makes the full sort a select of sc of sc + 1.
   static void finalize_keys(const backend::Backend* be, SearchWorkspace& ws,
                             std::size_t sc, int keep, int cand_total) {
     if (keep >= cand_total) return;  // no pruning: candidate order is the contract
-    if (static_cast<std::size_t>(keep) >= sc)
-      std::sort(ws.keys.begin(), ws.keys.begin() + static_cast<std::ptrdiff_t>(sc));
-    else
+    if (static_cast<std::size_t>(keep) >= sc) {
+      ws.keys[sc] = ~0ull;  // above every real key (slack: keys holds cand_total + 8)
+      be->select_keys(ws.keys.data(), sc + 1, sc);
+    } else {
       be->select_keys(ws.keys.data(), sc, static_cast<std::size_t>(keep));
+    }
   }
 
   /// Tightens the online pruning bound to the keep-th best survivor key
@@ -417,11 +422,9 @@ class BeamSearch {
   }
 
   /// u32-key twin of finalize_keys for the quantized pipeline. The
-  /// full u32 key orders as (cost, candidate) directly, so plain sort
-  /// and the u32 radix select agree bit-for-bit. Unlike the f32 twin
-  /// there is no std::sort small-side branch: select_keys_u32 with
-  /// keep == count IS a full radix sort, and its sequential passes
-  /// beat introsort's mispredicts on clustered integer keys.
+  /// full u32 key orders as (cost, candidate) directly, so a plain sort
+  /// and the u32 select agree bit-for-bit, and select_keys_u32 with
+  /// keep >= count is itself the full sort (no sentinel needed).
   static void finalize_keys_q(const backend::Backend* be, SearchWorkspace& ws,
                               std::size_t sc, int keep, int cand_total) {
     if (keep >= cand_total) return;  // no pruning: candidate order is the contract
@@ -538,8 +541,11 @@ class BeamSearch {
         while (L < total_leaves) {
           std::size_t end = std::min(total_leaves, L + block_leaves);
           if (leaves_sorted) {
+            // Tie-aware: a leaf's children also carry candidate indices
+            // >= l * fanout, so equal-cost leaves past the bound cut too.
             const auto leaf_floor = [&](std::size_t l) {
-              return backend::quant_sat_add(ws.leaf_cost_q[l], lvl_floor) << 16;
+              return backend::quant_sat_add(ws.leaf_cost_q[l], lvl_floor) << 16 |
+                     static_cast<std::uint32_t>(l * fanout);
             };
             if (leaf_floor(L) > bound_key) break;
             while (end > L + 1 && leaf_floor(end - 1) > bound_key) --end;
@@ -773,11 +779,13 @@ class BeamSearch {
         while (L < total_leaves) {
           std::size_t end = std::min(total_leaves, L + block_leaves);
           if (leaves_sorted) {
-            // Ascending parent costs: every candidate of a leaf costs at
-            // least the leaf, so the first leaf past the bound ends the
-            // level (and back-trimming skips a partial tail block).
+            // Ascending parent costs: every candidate of leaf l keys at
+            // least (leaf cost, l * fanout), so the first leaf past the
+            // bound ends the level (and back-trimming skips a partial
+            // tail block) — equal-cost leaves included, by index.
             const auto leaf_floor = [&](std::size_t l) {
-              return static_cast<std::uint64_t>(monotone_key(ws.leaf_cost[l])) << 32;
+              return static_cast<std::uint64_t>(monotone_key(ws.leaf_cost[l])) << 32 |
+                     l * fanout;
             };
             if (leaf_floor(L) > bound_key) break;
             while (end > L + 1 && leaf_floor(end - 1) > bound_key) --end;

@@ -13,10 +13,13 @@
 //     u8:   S = 2^3 = 8,   cap = 255    (coarser grid, 8-bit clamp)
 //   The u16 scale is deliberately modest: after per-level
 //   renormalization a level's surviving cost spread then fits a single
-//   byte of the packed (cost << 16 | candidate) selection key, which
-//   is what bounds the radix select/partition pass count — at S = 2^6
-//   the spread spilled into a second key byte and the selection phases
-//   measurably outweighed the finer grid's (unmeasurable) BLER gain.
+//   byte of the packed (cost << 16 | candidate) selection key. That
+//   bounded the byte-wise radix selection this path was tuned on (at
+//   S = 2^6 the spread spilled into a second key byte and selection
+//   measurably outweighed the finer grid's unmeasurable BLER gain);
+//   the current pivot/bucket selection adapts to the keys' own range,
+//   so S no longer sets its cost. S stays 2^4 because changing it
+//   changes every quantized decode.
 //   Per received symbol the decoder pre-tabulates the combined
 //   re+im metric over all 2^(2c) constellation index pairs, so the hot
 //   kernel performs one integer table gather + one saturating add per

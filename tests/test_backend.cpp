@@ -680,7 +680,7 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
                           static_cast<std::uint32_t>(L * fanout), bound,
                           keys.data() + sc);
         // The online bound: keep-th best survivor so far, via the
-        // block-local radix refinement (truncation is admissible).
+        // block-local refinement (truncation is admissible).
         if (sc >= trigger && L + n < count) {
           b->select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
           sc = static_cast<std::size_t>(keep);
@@ -698,7 +698,7 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
 }
 
 TEST(BackendKernels, SelectKeysMatchesFullSortReference) {
-  // The radix selection must keep exactly the keep smallest keys, in
+  // The selection must keep exactly the keep smallest keys, in
   // ascending order — i.e. the prefix of a full sort. Exercised on
   // clustered near-sorted keys (the shape real decode costs have) and
   // several keep points, for every backend's table entry.
@@ -1086,6 +1086,88 @@ TEST(BackendKernels, SelectKeysU32MatchesFullSortReference) {
           EXPECT_EQ(work[i], sorted[i]) << b->name << " n=" << n << " keep=" << keep;
       }
     }
+  }
+}
+
+/// Packed selection keys of one input shape: the cost word from @p cost
+/// (float for u64 keys, a u16-grid integer for u32 keys), candidate
+/// index @p cand[i] below it.
+template <class K>
+std::vector<K> shaped_keys(int shape, std::size_t n, util::Xoshiro256& prng) {
+  std::vector<std::uint32_t> cand(n);
+  for (std::size_t i = 0; i < n; ++i) cand[i] = static_cast<std::uint32_t>(i);
+  std::vector<double> cost(n);
+  double walk = 20.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0: cost[i] = static_cast<double>(i) * 0.25; break;        // ascending
+      case 1: cost[i] = static_cast<double>(n - i) * 0.25; break;    // descending
+      case 2: cost[i] = 3.0; break;                                  // all equal
+      default:                                                      // clustered
+        walk += prng.next_double() * 0.05;
+        cost[i] = walk + prng.next_double() * 2.0;
+    }
+  }
+  if (shape == 2)  // equal costs: only the (shuffled) candidate index orders
+    for (std::size_t i = n; i > 1; --i) std::swap(cand[i - 1], cand[prng.next_below(i)]);
+  std::vector<K> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if constexpr (sizeof(K) == 8)
+      keys[i] = static_cast<std::uint64_t>(backend::monotone_key(static_cast<float>(cost[i])))
+                    << 32 |
+                cand[i];
+    else
+      keys[i] = backend::quant_key(
+          static_cast<std::uint32_t>(std::min(65535.0, cost[i] * 16.0)), cand[i]);
+  }
+  return keys;
+}
+
+template <class K>
+void check_selection_shapes(const Backend* b,
+                            void (*partition)(K*, std::size_t, std::size_t),
+                            void (*select)(K*, std::size_t, std::size_t), const char* width) {
+  util::Xoshiro256 prng(131);
+  for (std::size_t n : {std::size_t{2}, std::size_t{17}, std::size_t{256}, std::size_t{4096},
+                        std::size_t{4097}, std::size_t{16384}}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      const std::vector<K> keys = shaped_keys<K>(shape, n, prng);
+      std::vector<K> sorted = keys;
+      std::sort(sorted.begin(), sorted.end());
+      for (std::size_t keep : {std::size_t{1}, std::size_t{2}, n / 2, n - 1}) {
+        if (keep == 0 || keep >= n) continue;
+        const auto kept = static_cast<std::ptrdiff_t>(keep);
+        std::vector<K> work = keys;
+        partition(work.data(), n, keep);
+        std::sort(work.begin(), work.begin() + kept);
+        EXPECT_TRUE(std::equal(work.begin(), work.begin() + kept, sorted.begin()))
+            << b->name << " " << width << " partition n=" << n << " shape=" << shape
+            << " keep=" << keep;
+        std::sort(work.begin(), work.end());  // a reorder: every key still there
+        EXPECT_EQ(work, sorted) << b->name << " " << width << " partition n=" << n;
+        work = keys;
+        select(work.data(), n, keep);
+        EXPECT_TRUE(std::equal(work.begin(), work.begin() + kept, sorted.begin()))
+            << b->name << " " << width << " select n=" << n << " shape=" << shape
+            << " keep=" << keep;
+        std::sort(work.begin(), work.end());
+        EXPECT_EQ(work, sorted) << b->name << " " << width << " select n=" << n;
+      }
+    }
+  }
+}
+
+TEST(BackendKernels, SelectionMatchesSortReferenceOnEveryShape) {
+  // Both key widths against a std::sort reference: partition_keys keeps
+  // the keep smallest (any order), select_keys keeps them ascending,
+  // and both only reorder — on ascending, descending, all-equal-cost
+  // (candidate index decides) and clustered inputs, at keep points from
+  // 1 to count-1 and counts on both sides of every scratch-buffer size
+  // the kernels use.
+  for (const Backend* b : backend::available()) {
+    check_selection_shapes<std::uint64_t>(b, b->partition_keys, b->select_keys, "u64");
+    check_selection_shapes<std::uint32_t>(b, b->partition_keys_u32, b->select_keys_u32,
+                                          "u32");
   }
 }
 
